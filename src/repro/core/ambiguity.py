@@ -129,20 +129,27 @@ def select_targets(
     network: SemanticNetwork,
     threshold: float = 0.0,
     weights: AmbiguityWeights | None = None,
+    degrees: list[float] | None = None,
 ) -> list[XMLNode]:
     """Target nodes with ``Amb_Deg >= threshold`` (paper Section 3.3).
 
     Nodes whose label (or, for compounds, none of whose tokens) is known
     to the semantic network are never selected — there is no sense
-    inventory to disambiguate against.
+    inventory to disambiguate against.  When ``degrees`` is given, each
+    selected target's ``Amb_Deg`` is appended to it, parallel to the
+    returned list, so callers reporting the degree need not recompute
+    it.
     """
     w = weights or AmbiguityWeights()
     targets = []
     for node in tree:
         if not _has_any_sense(node, network):
             continue
-        if ambiguity_degree(node, tree, network, w) >= threshold:
+        degree = ambiguity_degree(node, tree, network, w)
+        if degree >= threshold:
             targets.append(node)
+            if degrees is not None:
+                degrees.append(degree)
     return targets
 
 

@@ -15,106 +15,94 @@ the average of the per-token similarities (Eq. 10).
 
 from __future__ import annotations
 
+from ..bounded import DEFAULT_TABLE_SIZE
 from ..semnet.network import SemanticNetwork
 from ..similarity.combined import ConceptSimilarity
-from .candidates import Candidate, context_sense_ids
+from .candidates import Candidate
 from .context_vector import context_vector
+from .intern import SenseInventory, SenseTables
 from .sphere import Sphere
+
+#: The per-sphere context inventory scoring folds over: one
+#: ``(interned sense inventory, label weight)`` pair per sphere member
+#: that has senses, in member order.
+ContextInventory = list[tuple[SenseInventory, float]]
 
 
 class ConceptBasedScorer:
     """Scores candidate senses against a sphere context (Definition 8).
 
-    ``sense_cache`` optionally memoizes the inner ``Max_j Sim(s_p,
-    s_j^i)`` term per (candidate, context-sense-inventory) key — e.g. a
-    :class:`repro.runtime.cache.LRUCache`.  The same context labels
-    recur across nodes and documents, so in batch workloads this skips
-    most pairwise-similarity lookups entirely; cached values are the
-    deterministic max over the identical sense set, leaving every score
-    unchanged.
+    The inner ``Max_j Sim(s_p, s_j^i)`` term depends only on the
+    candidate and the context node's sense inventory, and the same
+    context labels recur across nodes and documents.  ``tables`` (a
+    :class:`~repro.core.intern.SenseTables`; a fresh default-bounded
+    one when omitted) interns inventories per distinct label and
+    memoizes the term in per-candidate rows keyed by inventory identity
+    — exact values for scores, upper bounds for pruning.  Memoized
+    values are the deterministic max over the identical sense set and
+    sums still run member by member, so every score is unchanged.
     """
 
     def __init__(
         self,
         network: SemanticNetwork,
         similarity: ConceptSimilarity,
-        sense_cache=None,
+        tables: SenseTables | None = None,
     ):
         self._network = network
         self._similarity = similarity
-        self._sense_cache = sense_cache
-        # Memo for the pruning upper bound's best-sense term, keyed like
-        # sense_cache entries; bounds recur exactly as scores do.
-        self._bound_cache: dict[tuple[Candidate, tuple[str, ...]], float] = {}
+        if tables is None:
+            tables = SenseTables(network, DEFAULT_TABLE_SIZE)
+        self._intern = tables.intern
+        self._score_rows = tables.scores
+        self._bound_rows = tables.bounds
 
     def _candidate_similarity(self, candidate: Candidate, sense_id: str) -> float:
         """``Sim((s_p, s_q), s_j)`` — the average over candidate parts."""
         total = sum(self._similarity(part, sense_id) for part in candidate)
         return total / len(candidate)
 
-    def _best_sense_similarity(
-        self, candidate: Candidate, sense_ids: tuple[str, ...]
-    ) -> float:
-        """``Max_j Sim(candidate, s_j)`` over one context sense inventory."""
-        cache = self._sense_cache
-        if cache is None:
-            return max(
-                self._candidate_similarity(candidate, sense_id)
-                for sense_id in sense_ids
-            )
-        key = (candidate, sense_ids)
-        best = cache.get(key)
-        if best is None:
-            best = max(
-                self._candidate_similarity(candidate, sense_id)
-                for sense_id in sense_ids
-            )
-            cache[key] = best
-        return best
-
     def score(self, candidate: Candidate, sphere: Sphere) -> float:
         """``Concept_Score(candidate, S_d(x), SN-bar)`` in [0, 1]."""
-        weights = context_vector(sphere)
-        total = 0.0
-        for member in sphere:
-            context_node = member.node
-            sense_ids = tuple(context_sense_ids(context_node, self._network))
-            if not sense_ids:
-                continue
-            label_weight = weights[context_node.label]
-            total += (
-                self._best_sense_similarity(candidate, sense_ids)
-                * label_weight
-            )
-        if not len(sphere):
-            return 0.0
-        return total / len(sphere)
+        return self.score_one(
+            candidate, self.context_inventory(sphere), len(sphere)
+        )
 
     def context_inventory(
         self,
         sphere: Sphere,
         vector: dict[str, float] | None = None,
-    ) -> list[tuple[tuple[str, ...], float]]:
-        """The per-member ``(sense-ids, weight)`` list scoring folds over.
+    ) -> ContextInventory:
+        """The per-member ``(inventory, weight)`` list scoring folds over.
 
         Built once per sphere (in member order — the accumulation order
         every score follows) and shared between :meth:`score_one`,
-        :meth:`upper_bound_one`, and :meth:`score_all`.  ``vector`` lets
-        callers supply the sphere's context vector when they already
-        hold it (it is read, never mutated).
+        :meth:`upper_bound_one`, and :meth:`score_all`: one intern-table
+        lookup per member.  ``vector`` lets callers supply the sphere's
+        context vector when they already hold it (it is read, never
+        mutated).
         """
         weights = vector if vector is not None else context_vector(sphere)
-        context: list[tuple[tuple[str, ...], float]] = []
+        intern = self._intern
+        table = intern.table
+        lookup = table.data.get
+        context: ContextInventory = []
+        misses = 0
         for member in sphere:
-            sense_ids = tuple(context_sense_ids(member.node, self._network))
-            if sense_ids:
-                context.append((sense_ids, weights[member.node.label]))
+            node = member.node
+            inventory = lookup((node.label, node.tokens))
+            if inventory is None:
+                inventory = intern.intern(node)
+                misses += 1
+            if inventory.sense_ids:
+                context.append((inventory, weights[node.label]))
+        table.hits += len(sphere) - misses
         return context
 
     def score_one(
         self,
         candidate: Candidate,
-        context: list[tuple[tuple[str, ...], float]],
+        context: ContextInventory,
         size: int,
     ) -> float:
         """Exact Definition 8 score over a prebuilt context inventory.
@@ -123,36 +111,26 @@ class ConceptBasedScorer:
         runs, so scores are bit-identical whether a candidate is scored
         in a batch or alone (exact pruning depends on this).
         """
+        rows = self._score_rows
+        row = rows.row(candidate)
+        lookup = row.get
+        rows.lookups += len(context)
         total = 0.0
-        for sense_ids, label_weight in context:
-            total += (
-                self._best_sense_similarity(candidate, sense_ids)
-                * label_weight
-            )
+        for inventory, label_weight in context:
+            best = lookup(inventory)
+            if best is None:
+                best = max(
+                    self._candidate_similarity(candidate, sense_id)
+                    for sense_id in inventory.sense_ids
+                )
+                rows.store(candidate, row, inventory, best)
+            total += best * label_weight
         return total / size if size else 0.0
-
-    def _best_sense_bound(
-        self,
-        candidate: Candidate,
-        sense_ids: tuple[str, ...],
-        upper_bound: ConceptSimilarity,
-    ) -> float:
-        """Upper bound on ``Max_j Sim(candidate, s_j)`` (memoized)."""
-        key = (candidate, sense_ids)
-        best = self._bound_cache.get(key)
-        if best is None:
-            best = max(
-                sum(upper_bound(part, sense_id) for part in candidate)
-                / len(candidate)
-                for sense_id in sense_ids
-            )
-            self._bound_cache[key] = best
-        return best
 
     def upper_bound_one(
         self,
         candidate: Candidate,
-        context: list[tuple[tuple[str, ...], float]],
+        context: ContextInventory,
         size: int,
         upper_bound: ConceptSimilarity,
     ) -> float:
@@ -165,12 +143,21 @@ class ConceptBasedScorer:
         monotone and the op sequence is identical, the result dominates
         the exact score in float arithmetic — no epsilon needed.
         """
+        rows = self._bound_rows
+        row = rows.row(candidate)
+        lookup = row.get
+        rows.lookups += len(context)
         total = 0.0
-        for sense_ids, label_weight in context:
-            total += (
-                self._best_sense_bound(candidate, sense_ids, upper_bound)
-                * label_weight
-            )
+        for inventory, label_weight in context:
+            best = lookup(inventory)
+            if best is None:
+                best = max(
+                    sum(upper_bound(part, sense_id) for part in candidate)
+                    / len(candidate)
+                    for sense_id in inventory.sense_ids
+                )
+                rows.store(candidate, row, inventory, best)
+            total += best * label_weight
         return total / size if size else 0.0
 
     def score_all(

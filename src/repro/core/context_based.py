@@ -8,14 +8,21 @@ node's structural neighborhood wins::
     Context_Score(s_p) = cos(V_d(x), V_d(s_p))
 
 For compound candidates the concept spheres are unioned before the
-vector is built (Eq. 12).  Concept vectors are cached per (concept,
-radius): the same senses recur across target nodes and documents.
+vector is built (Eq. 12).  Concept vectors — and, for cosine, their
+norms — are cached per candidate: the same senses recur across target
+nodes and documents.  The XML vector's norm is computed once per
+sphere, not once per candidate.
 """
 
 from __future__ import annotations
 
 from ..semnet.network import SemanticNetwork
-from ..similarity.vector import VECTOR_MEASURES
+from ..similarity.vector import (
+    VECTOR_MEASURES,
+    cosine_similarity,
+    cosine_with_norms,
+    vector_norm,
+)
 from .candidates import Candidate
 from .context_vector import (
     compound_concept_context_vector,
@@ -40,10 +47,16 @@ class ContextBasedScorer:
         self._network = network
         self._radius = radius
         self._measure = VECTOR_MEASURES[vector_measure]
+        self._cosine = self._measure is cosine_similarity
         self._strip = strip_target_dimension
-        self._vector_cache: dict[Candidate, dict[str, float]] = {}
+        # candidate -> (concept vector, its norm); bounded by the
+        # network's candidate count, like the vectors themselves.
+        self._vector_cache: dict[Candidate, tuple[dict[str, float], float]] = {}
 
-    def _candidate_vector(self, candidate: Candidate) -> dict[str, float]:
+    def _candidate_entry(
+        self, candidate: Candidate
+    ) -> tuple[dict[str, float], float]:
+        """The candidate's concept vector and its :func:`vector_norm`."""
         cached = self._vector_cache.get(candidate)
         if cached is not None:
             return cached
@@ -55,8 +68,9 @@ class ContextBasedScorer:
             vector = compound_concept_context_vector(
                 self._network, candidate, self._radius
             )
-        self._vector_cache[candidate] = vector
-        return vector
+        entry = (vector, vector_norm(vector))
+        self._vector_cache[candidate] = entry
+        return entry
 
     @staticmethod
     def _strip_target_dimensions(
@@ -97,14 +111,23 @@ class ContextBasedScorer:
         dict) instead of re-deriving it here.
         """
         xml_vector = vector if vector is not None else context_vector(sphere)
-        if self._strip:
+        strip = self._strip
+        if strip:
             xml_vector = self._strip_target_dimensions(xml_vector, sphere)
+        cosine = self._cosine
+        xml_norm = vector_norm(xml_vector) if cosine else 0.0
         scores: dict[Candidate, float] = {}
         for candidate in candidates:
-            concept_vector = self._candidate_vector(candidate)
-            if self._strip:
+            concept_vector, concept_norm = self._candidate_entry(candidate)
+            if strip:
                 concept_vector = self._strip_target_dimensions(
                     concept_vector, sphere
                 )
-            scores[candidate] = self._measure(xml_vector, concept_vector)
+                concept_norm = vector_norm(concept_vector) if cosine else 0.0
+            if cosine:
+                scores[candidate] = cosine_with_norms(
+                    xml_vector, concept_vector, xml_norm, concept_norm
+                )
+            else:
+                scores[candidate] = self._measure(xml_vector, concept_vector)
         return scores

@@ -24,6 +24,9 @@ Typical use::
 
 from __future__ import annotations
 
+from typing import Sequence
+
+from ..bounded import DEFAULT_TABLE_SIZE
 from ..linguistics.pipeline import LinguisticPipeline
 from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork
@@ -32,12 +35,13 @@ from ..xmltree.dom import XMLNode, XMLTree, build_tree
 from ..xmltree.parser import parse
 from ..xmltree.serializer import serialize_semantic_tree
 from .ambiguity import ambiguity_degree, select_targets
-from .candidates import Candidate, candidate_senses
+from .candidates import Candidate
 from .concept_based import ConceptBasedScorer
 from .config import DisambiguationApproach, XSDFConfig
 from .context_based import ContextBasedScorer
 from .context_vector import context_vector
 from .distances import resolve_policy
+from .intern import SenseTables
 from .results import DisambiguationResult, SenseAssignment
 from .sphere import build_sphere
 
@@ -69,10 +73,14 @@ class XSDF:
         :class:`repro.runtime.cache.LRUCache`) replacing the default
         unbounded dict inside :class:`CombinedSimilarity`.  Ignored
         when ``similarity`` is supplied.
-    sense_cache:
-        Optional memo for the concept-based scorer's best-sense term
-        (``Max_j Sim(candidate, s_j)`` per context sense inventory);
-        scores are unchanged, repeated context labels get cheaper.
+    intern_size:
+        Bound of each per-process intern table this instance owns: the
+        label -> sense-inventory intern, the concept scorer's per-
+        candidate best-sense rows (exact and upper bound), and the
+        linguistic pipeline's word/label memos (``None`` for
+        unbounded).  The tables are keyed by this instance, hence by
+        its network and linguistic configuration, and never change a
+        result — see :mod:`repro.core.intern` and :meth:`intern_tables`.
     sphere_memo:
         Optional :class:`repro.runtime.memo.SphereMemo` replaying whole
         disambiguation outcomes for repeated (target, sphere, config,
@@ -95,17 +103,22 @@ class XSDF:
         similarity: ConceptSimilarity | None = None,
         index=None,
         similarity_cache=None,
-        sense_cache=None,
         sphere_memo=None,
         metrics=None,
+        intern_size: int | None = DEFAULT_TABLE_SIZE,
     ):
         self.network = network
         self.config = config or XSDFConfig()
         self.index = index
         self.similarity_cache = similarity_cache
-        self.sense_cache = sense_cache
         self.metrics = metrics
-        self.pipeline = LinguisticPipeline(known=network.has_word)
+        self.pipeline = LinguisticPipeline(
+            known=network.has_word, memo_size=intern_size
+        )
+        # Per-process intern tables (repro.core.intern): owned here so
+        # they share this instance's network and pipeline, and survive
+        # index downgrades — every rung computes identical values.
+        self._tables = SenseTables(network, intern_size)
         user_supplied_similarity = similarity is not None
         self._user_similarity = user_supplied_similarity
         #: Cumulative degradation-ladder counters (monotone): each rung
@@ -150,9 +163,7 @@ class XSDF:
             "candidates_evaluated": 0,
             "candidates_pruned": 0,
         }
-        self._concept_scorer = ConceptBasedScorer(
-            network, similarity, sense_cache=sense_cache
-        )
+        self._concept_scorer = self._build_concept_scorer()
         self._distance_policy = (
             None
             if self.config.distance_policy is None
@@ -164,6 +175,29 @@ class XSDF:
             self.config.vector_measure,
             strip_target_dimension=self.config.strip_target_dimension,
         )
+
+    def _build_concept_scorer(self) -> ConceptBasedScorer:
+        """A concept scorer over the current similarity and the shared
+        intern tables."""
+        return ConceptBasedScorer(
+            self.network, self._similarity, tables=self._tables
+        )
+
+    def intern_tables(self) -> dict:
+        """This instance's intern tables by metrics name.
+
+        Each value has an ``LRUCache``-shaped ``stats()`` (size,
+        maxsize, hits, misses, evictions, hit_rate).  ``sense_scores``
+        is the exact best-sense rows (the key the old sense-score LRU
+        reported under), ``sense_bounds`` the pruning-bound rows.
+        """
+        tables = self._tables
+        return {
+            "intern_labels": tables.intern.table,
+            "sense_scores": tables.scores,
+            "sense_bounds": tables.bounds,
+            **self.pipeline.memo_tables(),
+        }
 
     # -- degradation ladder --------------------------------------------------
 
@@ -199,9 +233,9 @@ class XSDF:
         """Drop one rung: packed -> dict index -> bare network walk.
 
         Rebuilds the similarity/scorer stack against the next rung with
-        the same external caches; every rung is bit-identical (the
-        pack/index parity contract), so cached values stay valid and
-        results are unchanged.  Returns False at the bottom of the
+        the same external caches and intern tables; every rung is
+        bit-identical (the pack/index parity contract), so cached values
+        stay valid and results are unchanged.  Returns False at the bottom of the
         ladder — or when a user-supplied similarity owns the index —
         letting the fault propagate as a document failure.
         """
@@ -215,9 +249,7 @@ class XSDF:
             new_index = None
         self.index = new_index
         self._similarity = self._build_similarity(new_index)
-        self._concept_scorer = ConceptBasedScorer(
-            self.network, self._similarity, sense_cache=self.sense_cache
-        )
+        self._concept_scorer = self._build_concept_scorer()
         self._prune = (
             self.config.prune
             and not self._prune_degraded
@@ -292,13 +324,18 @@ class XSDF:
         disambiguates the same set (paper Section 4.3).
         """
         m = self.metrics
+        # Selection computes every target's ambiguity degree already;
+        # collect it so assignments report it without recomputing.
+        degrees: list[float] | None = None
         if targets is None:
+            degrees = []
             if m is None:
                 targets = select_targets(
                     tree,
                     self.network,
                     threshold=self.config.ambiguity_threshold,
                     weights=self.config.ambiguity_weights,
+                    degrees=degrees,
                 )
             else:
                 with m.timer("select"):
@@ -307,10 +344,13 @@ class XSDF:
                         self.network,
                         threshold=self.config.ambiguity_threshold,
                         weights=self.config.ambiguity_weights,
+                        degrees=degrees,
                     )
         assignments = []
-        for node in targets:
-            assignment = self.disambiguate_node(tree, node)
+        for i, node in enumerate(targets):
+            assignment = self.disambiguate_node(
+                tree, node, None if degrees is None else degrees[i]
+            )
             if assignment is not None:
                 assignments.append(assignment)
         if m is not None:
@@ -325,10 +365,18 @@ class XSDF:
         )
 
     def disambiguate_node(
-        self, tree: XMLTree, node: XMLNode
+        self,
+        tree: XMLTree,
+        node: XMLNode,
+        ambiguity: float | None = None,
     ) -> SenseAssignment | None:
-        """Disambiguate a single node; None when it has no candidates."""
-        candidates = candidate_senses(node, self.network)
+        """Disambiguate a single node; None when it has no candidates.
+
+        ``ambiguity`` is the node's ``Amb_Deg`` when the caller already
+        computed it (target selection does); otherwise it is computed
+        here for the assignment.
+        """
+        candidates = self._tables.intern.candidates(node)
         if not candidates:
             return None
         m = self.metrics
@@ -350,6 +398,10 @@ class XSDF:
                 concept_scores, context_scores, combined, chosen = (
                     self._score_resilient(candidates, sphere)
                 )
+        if ambiguity is None:
+            ambiguity = ambiguity_degree(
+                node, tree, self.network, self.config.ambiguity_weights
+            )
         return SenseAssignment(
             node_index=node.index,
             label=node.label,
@@ -357,13 +409,11 @@ class XSDF:
             score=combined[chosen],
             concept_score=concept_scores.get(chosen, 0.0),
             context_score=context_scores.get(chosen, 0.0),
-            ambiguity=ambiguity_degree(
-                node, tree, self.network, self.config.ambiguity_weights
-            ),
+            ambiguity=ambiguity,
             scores=combined,
         )
 
-    def _score_resilient(self, candidates: list[Candidate], sphere):
+    def _score_resilient(self, candidates: Sequence[Candidate], sphere):
         """:meth:`_score_memoized` behind the degradation ladder.
 
         A typed packed-index fault (``PackedIndexError`` and subclasses
@@ -379,7 +429,7 @@ class XSDF:
                 if not self._downgrade_index():
                     raise
 
-    def _score_memoized(self, candidates: list[Candidate], sphere):
+    def _score_memoized(self, candidates: Sequence[Candidate], sphere):
         """:meth:`_score`, replayed from the sphere memo when possible.
 
         The memo key (:func:`repro.runtime.memo.sphere_signature`)
@@ -429,7 +479,7 @@ class XSDF:
             self._disable_memo()
         return concept_scores, context_scores, combined, chosen
 
-    def _score(self, candidates: list[Candidate], sphere):
+    def _score(self, candidates: Sequence[Candidate], sphere):
         """Per-candidate concept, context, and final scores (Eq. 13).
 
         Returns ``(concept_scores, context_scores, combined, chosen)``.
@@ -492,7 +542,7 @@ class XSDF:
 
     def _score_pruned(
         self,
-        candidates: list[Candidate],
+        candidates: Sequence[Candidate],
         sphere,
         vector: dict[str, float],
     ):

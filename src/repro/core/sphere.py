@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..xmltree.dom import XMLNode, XMLTree
 from .distances import DistancePolicy
 
 
-@dataclass(frozen=True)
-class SphereMember:
+class SphereMember(NamedTuple):
     """One node of a sphere neighborhood with its ring distance.
 
     ``distance`` is an edge count under the default uniform policy and a
     path cost under weighted distance policies (paper future work,
-    :mod:`repro.core.distances`).
+    :mod:`repro.core.distances`).  An immutable value: equal members
+    compare and hash equal.  A tuple, because spheres build about ten
+    per target node and tuple construction is the cheapest immutable
+    value Python has.
     """
 
     node: XMLNode

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..bounded import DEFAULT_TABLE_SIZE, BoundedTable
 from .stemmer import PorterStemmer
 from .stopwords import remove_stop_words
 from .tokenizer import split_tag_name, split_text_value
@@ -45,21 +46,45 @@ class LinguisticPipeline:
         unknown words are stemmed and retried.
     stem_unknown:
         Disable to skip stemming entirely (useful in ablations).
+    memo_size:
+        Bound for each of the two memo tables (:meth:`normalize_word`
+        by raw word, :meth:`process_label` by raw name; ``None`` for
+        unbounded).  Both functions are pure given ``known`` and
+        ``stem_unknown``, and labels repeat heavily across a corpus, so
+        repeats cost one dict lookup instead of a tokenize/stem pass.
     """
 
     def __init__(
         self,
         known: LexiconLookup | None = None,
         stem_unknown: bool = True,
+        memo_size: int | None = DEFAULT_TABLE_SIZE,
     ):
         self._known = known or _always_unknown
         self._stem_unknown = stem_unknown
         self._stemmer = PorterStemmer()
+        self._words = BoundedTable(memo_size)
+        self._labels = BoundedTable(memo_size)
+
+    def memo_tables(self) -> dict[str, BoundedTable]:
+        """The word and label memo tables, by metrics name."""
+        return {"pipeline_words": self._words, "pipeline_labels": self._labels}
 
     # -- shared helpers ---------------------------------------------------
 
     def normalize_word(self, word: str) -> str:
         """Return the lexicon form of ``word``: itself if known, else its stem."""
+        memo = self._words
+        form = memo.data.get(word)
+        if form is not None:
+            memo.hits += 1
+            return form
+        memo.misses += 1
+        form = self._normalize(word)
+        memo.put(word, form)
+        return form
+
+    def _normalize(self, word: str) -> str:
         word = word.lower()
         if self._known(word):
             return word
@@ -81,6 +106,17 @@ class LinguisticPipeline:
         (the DOM keeps them inside one node label, see the paper's
         special-case handling in Sections 3.3 and 3.5).
         """
+        memo = self._labels
+        tokens = memo.data.get(raw)
+        if tokens is not None:
+            memo.hits += 1
+            return list(tokens)
+        memo.misses += 1
+        tokens = tuple(self._process_label(raw))
+        memo.put(raw, tokens)
+        return list(tokens)
+
+    def _process_label(self, raw: str) -> list[str]:
         parts = split_tag_name(raw)
         if not parts:
             return []

@@ -268,6 +268,12 @@ def _stats_snapshot(xsdf: XSDF) -> dict:
     for key, value in xsdf.degrade_stats.items():
         if value:
             stats[f"degrade_{key}"] = value
+    # Intern-table traffic (hits/misses are monotone; sizes are not, so
+    # they stay worker-local and only the serial path reports them).
+    for name, table in xsdf.intern_tables().items():
+        table_stats = table.stats()
+        stats[f"{name}_hits"] = table_stats["hits"]
+        stats[f"{name}_misses"] = table_stats["misses"]
     return stats
 
 
@@ -277,14 +283,12 @@ def _build_xsdf(
     index: "PackedIndex | SemanticIndex | None",
     cache_size: int | None,
 ) -> XSDF:
-    use_index = index is not None
-    pair_cache = LRUCache(maxsize=cache_size) if use_index else None
-    sense_cache = LRUCache(maxsize=cache_size) if use_index else None
+    pair_cache = LRUCache(maxsize=cache_size) if index is not None else None
     return XSDF(
         network, config,
         index=index,
         similarity_cache=pair_cache,
-        sense_cache=sense_cache,
+        intern_size=cache_size,
     )
 
 
@@ -636,7 +640,7 @@ class BatchExecutor:
             return self.workers
         return min(self.workers, auto_workers())
 
-    def runtime_stats(self) -> dict[str, int]:
+    def runtime_stats(self) -> dict:
         """Persistent-runtime counters (pool reuse, spawns, shm size).
 
         The bench honesty fields: ``pool_reuse_count`` proves warm
@@ -645,6 +649,10 @@ class BatchExecutor:
         ran), ``shard_bytes`` the size of the mmap-shipped shard file
         (0 unless workers attached by path — the two are mutually
         exclusive), ``generation``/``worker_respawns`` count spawns.
+        ``intern`` maps each intern table of the in-process (serial)
+        pipeline to its ``stats()`` — empty until that pipeline is
+        built; pool workers' table traffic reaches the metrics
+        registry as merged ``<table>_hits``/``<table>_misses`` counters.
         """
         stats = (
             self._pool.stats() if self._pool is not None
@@ -658,6 +666,14 @@ class BatchExecutor:
         )
         stats["shm_bytes"] = self._segment.size if self._segment else 0
         stats["shard_bytes"] = self._shard_bytes
+        xsdf = self._serial_xsdf
+        stats["intern"] = (
+            {} if xsdf is None
+            else {
+                name: table.stats()
+                for name, table in xsdf.intern_tables().items()
+            }
+        )
         return stats
 
     # -- public API ----------------------------------------------------------
@@ -797,7 +813,6 @@ class BatchExecutor:
                 sphere_memo = self._serial_xsdf.sphere_memo
                 for name, cache in (
                     ("similarity_pairs", self._serial_xsdf.similarity_cache),
-                    ("sense_scores", self._serial_xsdf.sense_cache),
                     ("documents", self._doc_cache),
                     (
                         "sphere_memo",
@@ -806,6 +821,8 @@ class BatchExecutor:
                 ):
                     if isinstance(cache, LRUCache):
                         self.metrics.register_cache(name, cache)
+                for name, table in self._serial_xsdf.intern_tables().items():
+                    self.metrics.register_cache(name, table)
         return self._serial_xsdf
 
     def _attempt_serial(

@@ -30,7 +30,7 @@ import time
 
 from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork, UnknownConceptError
-from ..similarity.gloss import extended_gloss_tokens
+from ..similarity.gloss import GlossTokenMemo, extended_gloss_tokens
 
 
 class SemanticIndex:
@@ -80,8 +80,13 @@ class SemanticIndex:
         self._lcs_memo_misses = 0
         self._gloss_bags: dict[str, list[str]] | None = None
         if include_gloss:
+            # One memo per build: neighbors' glosses are shared between
+            # bags, so each gloss is tokenized and stemmed once.
+            gloss_memo = GlossTokenMemo()
             self._gloss_bags = {
-                concept.id: extended_gloss_tokens(network, concept.id)
+                concept.id: extended_gloss_tokens(
+                    network, concept.id, memo=gloss_memo
+                )
                 for concept in network
             }
         self._ic: InformationContent | None = None

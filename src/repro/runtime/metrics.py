@@ -18,10 +18,18 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator, Protocol
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .cache import LRUCache
+
+class CacheStats(Protocol):
+    """Anything with an ``LRUCache``-shaped ``stats()`` snapshot: the
+    LRU caches and the core intern tables
+    (:class:`~repro.bounded.BoundedTable`,
+    :class:`~repro.core.intern.ScoreRows`)."""
+
+    def stats(self) -> dict[str, float]:
+        """Size, maxsize, hits, misses, evictions and hit rate."""
+        ...
 
 
 class StageTimer:
@@ -67,7 +75,7 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._timers: dict[str, StageTimer] = {}
-        self._caches: dict[str, "LRUCache"] = {}
+        self._caches: dict[str, CacheStats] = {}
         self._events: list[dict] = []
         self._events_dropped = 0
         self._started = time.perf_counter()
@@ -145,7 +153,7 @@ class MetricsRegistry:
 
     # -- cache attachment ----------------------------------------------------
 
-    def register_cache(self, name: str, cache: "LRUCache") -> None:
+    def register_cache(self, name: str, cache: CacheStats) -> None:
         """Attach a cache whose stats join the report snapshot."""
         self._caches[name] = cache
 

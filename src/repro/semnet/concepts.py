@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 class Relation(enum.Enum):
@@ -96,17 +97,19 @@ class Concept:
         """All synonymous words (``c.syn``), including the label."""
         return self.words
 
-    def gloss_tokens(self) -> list[str]:
+    def gloss_tokens(self, stem: Callable[[str], str] | None = None) -> list[str]:
         """Stemmed content-word tokens of the gloss (for Lesk overlap).
 
         Stemming matters: glosses say "the lines spoken by an actor"
         while labels say "line" — without conflation the overlap measure
-        misses exactly the matches it exists to find.
+        misses exactly the matches it exists to find.  ``stem`` replaces
+        the Porter stemmer with an equivalent (e.g. memoized) callable.
         """
-        from ..linguistics.stemmer import stem
         from ..linguistics.stopwords import STOP_WORDS
         from ..linguistics.tokenizer import split_text_value
 
+        if stem is None:
+            from ..linguistics.stemmer import stem
         return [
             stem(t) for t in split_text_value(self.gloss) if t not in STOP_WORDS
         ]

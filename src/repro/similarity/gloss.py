@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
+from ..linguistics.stemmer import stem
+from ..semnet.concepts import Concept
 from ..semnet.network import SemanticNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -57,26 +59,63 @@ def _ngram_overlap_score(tokens_a: list[str], tokens_b: list[str]) -> float:
     return score
 
 
+class GlossTokenMemo:
+    """Memoized gloss tokens and stems for one index build or measure.
+
+    Extended glosses overlap heavily — every concept's bag repeats the
+    gloss of each neighbor, and gloss words repeat across concepts — so
+    without a memo a build re-tokenizes and re-stems the same glosses
+    several times per concept.  The owner (a
+    :class:`~repro.runtime.index.SemanticIndex` build, or one
+    :class:`ExtendedLeskSimilarity`) holds the memo for as long as it
+    builds bags; tokens come out identical to the unmemoized path.
+    """
+
+    def __init__(self) -> None:
+        self._gloss_tokens: dict[str, tuple[str, ...]] = {}
+        self._stems: dict[str, str] = {}
+
+    def stem(self, word: str) -> str:
+        """The Porter stem of ``word``, memoized."""
+        stemmed = self._stems.get(word)
+        if stemmed is None:
+            stemmed = stem(word)
+            self._stems[word] = stemmed
+        return stemmed
+
+    def gloss_tokens(self, concept: Concept) -> tuple[str, ...]:
+        """``concept.gloss_tokens()``, memoized by concept id."""
+        tokens = self._gloss_tokens.get(concept.id)
+        if tokens is None:
+            tokens = tuple(concept.gloss_tokens(stem=self.stem))
+            self._gloss_tokens[concept.id] = tokens
+        return tokens
+
+
 def extended_gloss_tokens(
-    network: SemanticNetwork, concept_id: str, expand: bool = True
+    network: SemanticNetwork,
+    concept_id: str,
+    expand: bool = True,
+    memo: GlossTokenMemo | None = None,
 ) -> list[str]:
     """The (optionally neighbor-extended) gloss token bag of one concept.
 
     Shared between :class:`ExtendedLeskSimilarity` and the precomputed
     :class:`repro.runtime.index.SemanticIndex` gloss bags, so both paths
-    score from identical token sequences.
+    score from identical token sequences.  Callers building many bags
+    pass one ``memo`` so shared glosses are tokenized once.
     """
-    from ..linguistics.stemmer import stem
-
+    if memo is None:
+        memo = GlossTokenMemo()
     concept = network.concept(concept_id)
-    tokens = concept.gloss_tokens()
+    tokens = list(memo.gloss_tokens(concept))
     # Synonym words join the extended gloss, stemmed to match the
     # gloss-token conflation (multiword synonyms contribute each part).
     for word in concept.words:
-        tokens.extend(stem(part) for part in word.split())
+        tokens.extend(memo.stem(part) for part in word.split())
     if expand:
         for neighbor_id in network.neighbors(concept_id):
-            tokens.extend(network.concept(neighbor_id).gloss_tokens())
+            tokens.extend(memo.gloss_tokens(network.concept(neighbor_id)))
     return tokens
 
 
@@ -118,6 +157,7 @@ class ExtendedLeskSimilarity:
         )
         self._token_cache: dict[str, list[str]] = {}
         self._count_cache: dict[str, dict[str, int]] = {}
+        self._gloss_memo = GlossTokenMemo()
 
     def _extended_gloss(self, concept_id: str) -> list[str]:
         if self._index is not None:
@@ -126,7 +166,8 @@ class ExtendedLeskSimilarity:
         if cached is not None:
             return cached
         tokens = extended_gloss_tokens(
-            self._network, concept_id, expand=self._expand
+            self._network, concept_id, expand=self._expand,
+            memo=self._gloss_memo,
         )
         self._token_cache[concept_id] = tokens
         return tokens

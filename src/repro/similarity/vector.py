@@ -17,12 +17,29 @@ Vector = Mapping[str, float]
 
 def cosine_similarity(u: Vector, v: Vector) -> float:
     """Cosine of the angle between two sparse vectors, in [0, 1]."""
+    return cosine_with_norms(u, v, vector_norm(u), vector_norm(v))
+
+
+def vector_norm(u: Vector) -> float:
+    """Euclidean norm, summed in ``u``'s iteration order."""
+    return math.sqrt(sum(w * w for w in u.values()))
+
+
+def cosine_with_norms(
+    u: Vector, v: Vector, norm_u: float, norm_v: float
+) -> float:
+    """:func:`cosine_similarity` with both norms precomputed.
+
+    ``norm_u``/``norm_v`` must be :func:`vector_norm` of ``u``/``v``;
+    the result is then bit-identical to ``cosine_similarity(u, v)``.
+    Callers comparing one vector against many (the context-based
+    scorer) compute each norm once instead of once per pair.
+    """
     if not u or not v:
         return 0.0
     smaller, larger = (u, v) if len(u) <= len(v) else (v, u)
-    dot = sum(weight * larger.get(label, 0.0) for label, weight in smaller.items())
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
+    larger_get = larger.get
+    dot = sum(weight * larger_get(label, 0.0) for label, weight in smaller.items())
     denominator = norm_u * norm_v
     # Guard the *product*: with subnormal weights it can underflow to
     # zero even when both norms are individually non-zero.

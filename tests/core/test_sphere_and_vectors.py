@@ -13,7 +13,7 @@ from repro.core.context_vector import (
     node_context_vector,
     struct_proximity,
 )
-from repro.core.sphere import build_ring, build_sphere
+from repro.core.sphere import SphereMember, build_ring, build_sphere
 from repro.semnet.builders import NetworkBuilder
 
 
@@ -55,6 +55,28 @@ class TestFigure6Spheres:
     def test_labels_deduplicated(self, figure6_tree):
         sphere = build_sphere(figure6_tree, figure6_tree[2], 1)
         assert sphere.labels() == ["cast", "picture", "star"]
+
+
+class TestSphereMember:
+    def test_immutable(self, figure6_tree):
+        member = SphereMember(figure6_tree[2], 1)
+        with pytest.raises(AttributeError):
+            member.distance = 2
+        with pytest.raises(AttributeError):
+            member.node = figure6_tree[3]
+
+    def test_value_equality_and_hash(self, figure6_tree):
+        a = SphereMember(figure6_tree[2], 1)
+        b = SphereMember(figure6_tree[2], 1)
+        assert a == b and hash(a) == hash(b)
+        assert a != SphereMember(figure6_tree[2], 2)
+        assert a != SphereMember(figure6_tree[3], 1)
+        assert {a, b} == {a}
+
+    def test_spheres_are_built_from_members(self, figure6_tree):
+        sphere = build_sphere(figure6_tree, figure6_tree[2], 1)
+        assert all(isinstance(m, SphereMember) for m in sphere)
+        assert list(sphere)[0] == SphereMember(figure6_tree[2], 0)
 
 
 class TestStructProximity:

@@ -178,3 +178,35 @@ class TestIndexQueries:
         stats = index.stats()
         assert stats["lcs_memo_misses"] == 1
         assert stats["lcs_memo_hits"] == 1
+
+
+class TestGlossBuildMemo:
+    """The index build tokenizes and stems each gloss once."""
+
+    def test_each_gloss_is_tokenized_once_per_build(
+        self, lexicon, monkeypatch
+    ):
+        from repro.semnet.concepts import Concept
+
+        calls = []
+        original = Concept.gloss_tokens
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.id)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Concept, "gloss_tokens", counting)
+        SemanticIndex(lexicon)
+        assert len(calls) == len(set(calls)) <= len(lexicon)
+
+    def test_memoized_bags_equal_unmemoized(self, lexicon):
+        from repro.linguistics.stemmer import stem
+
+        index = SemanticIndex(lexicon)
+        for concept in lexicon:
+            expected = concept.gloss_tokens()
+            for word in concept.words:
+                expected.extend(stem(part) for part in word.split())
+            for neighbor in lexicon.neighbors(concept.id):
+                expected.extend(lexicon.concept(neighbor).gloss_tokens())
+            assert index.gloss_bag(concept.id) == expected

@@ -86,6 +86,21 @@ class TestOperationalEndpoints:
         assert "server_warmup" in snapshot["stages"]
         assert "sphere_memo" in snapshot["caches"]
 
+    def test_metrics_caches_report_intern_tables(self, make_app, figure1_xml):
+        async def go():
+            async with running(make_app()) as server:
+                await request(server, disambiguate(figure1_xml, name="f"))
+                return await request(server, get("/metrics"))
+
+        caches = run(go()).json()["caches"]
+        for name in ("intern_labels", "sense_scores", "sense_bounds",
+                     "pipeline_words", "pipeline_labels"):
+            assert set(caches[name]) == {
+                "size", "maxsize", "hits", "misses", "evictions", "hit_rate",
+            }, name
+        assert caches["intern_labels"]["size"] > 0
+        assert caches["sense_scores"]["misses"] > 0
+
     def test_unknown_path_is_a_404_envelope(self, make_app):
         async def go():
             async with running(make_app()) as server:

@@ -13,6 +13,9 @@ Each measure is exercised in **both** accelerated modes: the dict-keyed
 :class:`SemanticIndex` and the interned flat-array
 :class:`~repro.runtime.pack.PackedIndex` — three-way bit-identity
 (network walk == dict index == packed kernels) on every sampled pair.
+:class:`TestDocumentParity` lifts the contract to whole documents:
+the interned scorer over the packed index against the per-occurrence
+network-walk oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DisambiguationApproach, XSDFConfig
+from repro.core.framework import XSDF
 from repro.runtime import PackedIndex, SemanticIndex
+from repro.runtime.pack import PackedIndexCRCError
 from repro.semnet.generator import GeneratorConfig, generate_network
 from repro.semnet.ic import InformationContent
 from repro.similarity.combined import CombinedSimilarity, SimilarityWeights
@@ -39,6 +45,11 @@ from repro.similarity.node import (
     ResnikSimilarity,
 )
 from repro.similarity.vector import VECTOR_MEASURES
+from tests.core._oracle import (
+    assert_matches_oracle,
+    oracle_assignments,
+    random_document,
+)
 
 #: (network, index, packed, ic) per generator shape — hypothesis
 #: revisits shapes across examples, and network construction dominates
@@ -179,3 +190,121 @@ class TestIndexParityProperty:
                 f"vector measure {name!r} grew an index= parameter; "
                 "add it to the index-parity property tests"
             )
+
+
+class _FailAtCall:
+    """Packed-index proxy whose ``pair_terms`` raises once, on call
+    ``fail_at`` — an index fault in the middle of a document."""
+
+    def __init__(self, inner, fail_at: int):
+        self._inner = inner
+        self._calls = 0
+        self._fail_at = fail_at
+
+    def __getattr__(self, name):
+        target = getattr(self._inner, name)
+        if name != "pair_terms":
+            return target
+
+        def guarded(*args):
+            self._calls += 1
+            if self._calls == self._fail_at:
+                raise PackedIndexCRCError("injected mid-document fault")
+            return target(*args)
+
+        return guarded
+
+
+class TestDocumentParity:
+    """Whole documents: the interned scorer over the packed index ==
+    the per-occurrence network-walk oracle (``tests/core/_oracle.py``),
+    bit-for-bit, including across an index downgrade mid-document."""
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=network_shapes,
+        doc_seed=st.integers(0, 2**16),
+        approach=st.sampled_from(list(DisambiguationApproach)),
+        measure=st.sampled_from(["cosine", "jaccard", "pearson"]),
+        strip=st.booleans(),
+        policy=st.sampled_from([None, "direction", "density"]),
+        memo=st.booleans(),
+    )
+    def test_packed_document_equals_network_walk_oracle(
+        self, shape, doc_seed, approach, measure, strip, policy, memo
+    ):
+        network, _, packed, ic = _network_index_ic(shape)
+        # Exhaustive scoring queries pairs in the oracle's order, so
+        # both sides see the same value for extended Lesk's asymmetric
+        # pairs without sharing a pair cache.
+        config = XSDFConfig(
+            approach=approach, vector_measure=measure,
+            strip_target_dimension=strip, distance_policy=policy,
+            prune=False, memo=memo,
+        )
+        walk = CombinedSimilarity(network, ic=ic)
+        xsdf = XSDF(network, config, index=packed)
+        assert xsdf.index_rung == "packed"
+        for offset in (0, 1):
+            xml = random_document(network, doc_seed + offset, compounds=True)
+            assert_matches_oracle(
+                xsdf.disambiguate_document(xml),
+                oracle_assignments(network, config, xml, walk),
+                f"shape={shape} doc_seed={doc_seed + offset} "
+                f"approach={approach.value} measure={measure} "
+                f"strip={strip} policy={policy} memo={memo}",
+            )
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=network_shapes,
+        doc_seed=st.integers(0, 2**16),
+        fault_seed=st.integers(0, 2**16),
+        prune=st.booleans(),
+    )
+    def test_index_downgrade_mid_document_keeps_oracle_parity(
+        self, shape, doc_seed, fault_seed, prune
+    ):
+        network, _, packed, ic = _network_index_ic(shape)
+        config = XSDFConfig(prune=prune, memo=prune)
+        xml = random_document(network, doc_seed, compounds=True)
+        # One shared pair cache, oracle first: pruning reorders pair
+        # queries, and the cache pins extended Lesk's asymmetric pairs
+        # to the oracle's order (the executor shares its pair cache
+        # across rungs the same way).
+        pairs: dict = {}
+        walk = CombinedSimilarity(network, ic=ic, cache=pairs)
+        expected = oracle_assignments(network, config, xml, walk)
+        # A dry run on a copy of that cache counts the kernel calls, so
+        # the fault lands strictly inside the document.
+        counter = _FailAtCall(packed, fail_at=0)
+        XSDF(
+            network, config, index=counter, similarity_cache=dict(pairs)
+        ).disambiguate_document(xml)
+        xsdf = XSDF(
+            network, config,
+            index=_FailAtCall(packed, 1 + fault_seed % max(counter._calls, 1)),
+            similarity_cache=pairs,
+        )
+        result = xsdf.disambiguate_document(xml)
+        context = f"shape={shape} doc_seed={doc_seed} prune={prune}"
+        if counter._calls:
+            assert xsdf.index_rung == "dict", context
+            assert xsdf.degrade_stats["index_downgrades"] == 1, context
+        assert_matches_oracle(result, expected, context)
+        # The warm intern tables and rows carry over one rung down.
+        assert xsdf._downgrade_index()
+        xml2 = random_document(network, doc_seed + 1, compounds=True)
+        assert_matches_oracle(
+            xsdf.disambiguate_document(xml2),
+            oracle_assignments(network, config, xml2, walk),
+            context + " second document",
+        )
