@@ -12,8 +12,8 @@ Four workloads over the generated collection:
   packed kernels must be bit-identical and at least 1.3x faster.
 * **unique documents** — three disjoint document sets with the same
   dataset mix through a serial executor and a ``workers=2`` persistent
-  pool: the first set is the *cold* batch (pool spawn + shared-memory
-  publish inside the timed region), the other two are *steady-state*
+  pool: the first set is the *cold* batch (pool spawn + index shard
+  write inside the timed region), the other two are *steady-state*
   probes on the warm pool.  Output must stay byte-identical to serial,
   the warm pool must be strictly faster than the cold batch, and the
   speedup gate is ≥1.8x (≥1.4x smoke) on multi-core hosts or the
@@ -26,9 +26,10 @@ Four workloads over the generated collection:
   Output must stay byte-identical; the default pipeline must be at
   least 1.5x faster (1.3x under smoke).
 * **mmap store** — the on-disk ``RXPD`` shard path: cold attach via
-  ``PackedIndex.from_mmap`` must be at least 20x faster than decoding
-  the equivalent ``RXPK`` payload at 100k concepts (the whole point of
-  the format: attach is O(section count), decode is O(bytes)); a second
+  ``PackedIndex.from_mmap`` must be at least 20x faster than a full
+  ``PackedIndex(network)`` build at 100k concepts — the only other way
+  a process gets an index (attach is O(section count), a build walks
+  the whole network); a second
   process attaching the same shard must grow its *private* memory by
   only a small fraction of the shard size (the mapped pages are shared
   through the OS page cache with every other attacher); and batch
@@ -233,9 +234,9 @@ def test_parallel_batch_throughput(benchmark, network, corpus):
     failing; a noise burst gets outvoted by more samples).
 
     The real pool's spin-up cost is measured in a separate
-    ``oversubscribe=True`` pass (cold batch pays pool spawn + shm
-    publish inside its timed region; the probes run on the warm pool)
-    so the recorded pool/shm figures stay honest even on 1-CPU hosts
+    ``oversubscribe=True`` pass (cold batch pays pool spawn + shard
+    write inside its timed region; the probes run on the warm pool)
+    so the recorded pool/shard figures stay honest even on 1-CPU hosts
     where the default executor's anti-oversubscription clamp routes
     ``workers=2`` serially.
     """
@@ -321,7 +322,7 @@ def test_parallel_batch_throughput(benchmark, network, corpus):
     assert pool_out == baseline          # the real pool too
     # The pool genuinely persisted: batches 2 and 3 reused it warm.
     assert pool_stats["pool_reuse_count"] >= 2
-    assert pool_stats["shm_bytes"] > 0
+    assert pool_stats["shard_bytes"] > 0
     assert pool_stats["worker_respawns"] == 0
 
     pool_cold_s, pool_steady_s = pool_t[0], min(pool_t[1], pool_t[2])
@@ -359,10 +360,10 @@ def test_parallel_batch_throughput(benchmark, network, corpus):
         "spinup_docs_per_s": round(spinup_dps, 3),
         "steady_docs_per_s": round(steady_dps, 3),
         "pool_reuse_count": pool_stats["pool_reuse_count"],
-        "shm_bytes": pool_stats["shm_bytes"],
+        "shard_bytes": pool_stats["shard_bytes"],
     }
     # Steady state (warm pool, best of two probes) must strictly beat
-    # the cold batch that paid for pool spawn + shm publish.
+    # the cold batch that paid for pool spawn + shard write.
     assert pool_steady_s < pool_cold_s, (
         f"warm pool ({steady_dps:.2f} docs/s) no faster than "
         f"spin-up ({spinup_dps:.2f} docs/s)"
@@ -544,9 +545,9 @@ _CACHE_DIR = Path(__file__).resolve().parent / "_cache"
 def _store_fixture() -> dict:
     """Build (or reuse) the big-network store fixture under ``_cache/``.
 
-    Produces four files keyed by concept count — the generated network
-    JSON, its ``RXPK`` packed payload, the ``RXPD`` shard, and a meta
-    record of the generation parameters plus the network fingerprint.
+    Produces three files keyed by concept count — the generated network
+    JSON, its ``RXPD`` shard, and a meta record of the generation
+    parameters plus the network fingerprint.
     The cache is trusted only when the meta parameters match this
     module's constants **and** the shard header carries the recorded
     fingerprint prefix; any drift (new generator defaults, a changed
@@ -560,7 +561,6 @@ def _store_fixture() -> dict:
 
     stem = f"store-{STORE_CONCEPTS // 1000}k"
     net_path = _CACHE_DIR / f"{stem}.network.json"
-    rxpk_path = _CACHE_DIR / f"{stem}.rxpk"
     rxpd_path = _CACHE_DIR / f"{stem}.rxpd"
     meta_path = _CACHE_DIR / f"{stem}.meta.json"
     params = {
@@ -571,7 +571,7 @@ def _store_fixture() -> dict:
 
     def cache_valid() -> bool:
         if not all(
-            p.exists() for p in (net_path, rxpk_path, rxpd_path, meta_path)
+            p.exists() for p in (net_path, rxpd_path, meta_path)
         ):
             return False
         try:
@@ -593,9 +593,7 @@ def _store_fixture() -> dict:
         # the JSON file sees (save -> load coerces int frequencies).
         network = load_network(net_path)
         fingerprint = network.fingerprint()
-        index = PackedIndex(network)
-        rxpk_path.write_bytes(index.to_bytes())
-        write_shard(index, rxpd_path, fingerprint=fingerprint)
+        write_shard(PackedIndex(network), rxpd_path, fingerprint=fingerprint)
         meta_path.write_text(
             json.dumps({"params": params, "fingerprint": fingerprint})
             + "\n",
@@ -606,7 +604,6 @@ def _store_fixture() -> dict:
         fingerprint = meta["fingerprint"]
     return {
         "network_json": net_path,
-        "rxpk": rxpk_path,
         "shard": rxpd_path,
         "fingerprint": fingerprint,
     }
@@ -654,12 +651,14 @@ def _child_memory_kb(shard: "Path | None") -> tuple[int, int]:
 
 
 def test_mmap_cold_attach(benchmark):
-    """``from_mmap`` attach vs ``RXPK`` decode on the 100k fixture.
+    """``from_mmap`` attach vs a full index build on the 100k fixture.
 
-    Decode is O(bytes) — every array is copied out of the payload;
-    attach is O(section count) — the tables become memoryview casts
-    over the mapping and the string tables stay undecoded.  The gate is
-    a 20x attach advantage.  Honesty caveats recorded alongside: the
+    Without a shard a process gets its index only by building it:
+    ``PackedIndex(network)`` walks every closure, gloss and IC entry
+    (network loading is excluded from the timed region).  Attach is
+    O(section count) — the tables become memoryview casts over the
+    mapping and the string tables stay undecoded.  The gate is a 20x
+    attach advantage.  Honesty caveats recorded alongside: the
     shard is freshly written/read here, so even the "cold" attach finds
     its pages in the OS page cache (a true cold-cache attach defers the
     page-in cost to first use, it does not eliminate the advantage),
@@ -680,19 +679,20 @@ def test_mmap_cold_attach(benchmark):
     noise (~1 MB between otherwise identical children) dominates.
     """
     from repro.runtime.pack import PackedIndex
+    from repro.semnet.io import load_network
 
     fixture = _store_fixture()
     shard = fixture["shard"]
-    rxpk_blob = fixture["rxpk"].read_bytes()
+    network = load_network(fixture["network_json"])
     shard_bytes = os.path.getsize(shard)
 
     def run():
-        decode_s = []
-        for _ in range(3):
+        build_s = []
+        for _ in range(2):
             start = time.perf_counter()
-            decoded = PackedIndex.from_bytes(rxpk_blob)
-            decode_s.append(time.perf_counter() - start)
-        probe_id = decoded._ids[0]
+            built = PackedIndex(network)
+            build_s.append(time.perf_counter() - start)
+        probe_id = built._ids[0]
 
         attach_s = []
         first_query_s = None
@@ -706,16 +706,16 @@ def test_mmap_cold_attach(benchmark):
                 start = time.perf_counter()
                 depth = attached.depth(probe_id)
                 first_query_s = time.perf_counter() - start
-                assert depth == decoded.depth(probe_id)
-            assert len(attached) == len(decoded)
+                assert depth == built.depth(probe_id)
+            assert len(attached) == len(built)
             attached.release_shared()
-        return decode_s, attach_s, first_query_s, len(decoded)
+        return build_s, attach_s, first_query_s, len(built)
 
-    decode_s, attach_s, first_query_s, n = benchmark.pedantic(
+    build_s, attach_s, first_query_s, n = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     cold_attach_s, warm_attach_s = attach_s[0], min(attach_s[1:])
-    speedup = min(decode_s) / cold_attach_s
+    speedup = min(build_s) / cold_attach_s
 
     # Hold an attachment of our own while the children run so their
     # shard pages are multiply-mapped — shared, not private, in smaps.
@@ -734,7 +734,7 @@ def test_mmap_cold_attach(benchmark):
     rss_gated = shard_bytes >= 8 * 1024 * 1024
 
     rows = [
-        ["RXPK decode", f"{min(decode_s) * 1e3:.2f}", "-"],
+        ["PackedIndex(network) build", f"{min(build_s) * 1e3:.2f}", "-"],
         ["RXPD cold attach", f"{cold_attach_s * 1e3:.2f}",
          f"x{speedup:.0f}"],
         ["RXPD warm attach", f"{warm_attach_s * 1e3:.2f}", "-"],
@@ -742,14 +742,13 @@ def test_mmap_cold_attach(benchmark):
     ]
     print_table(
         f"Store: {n} concepts, {shard_bytes / 1e6:.1f} MB shard",
-        ["path", "ms", "vs decode"],
+        ["path", "ms", "vs build"],
         rows,
     )
     _RESULTS["mmap_store"] = {
         "n_concepts": n,
         "shard_bytes": shard_bytes,
-        "rxpk_bytes": len(rxpk_blob),
-        "decode_s": round(min(decode_s), 6),
+        "build_s": round(min(build_s), 6),
         "cold_attach_s": round(cold_attach_s, 6),
         "warm_attach_s": round(warm_attach_s, 6),
         "first_query_s": round(first_query_s, 6),
@@ -763,7 +762,7 @@ def test_mmap_cold_attach(benchmark):
         "child_private_gated": rss_gated,
     }
     assert speedup >= 20.0, (
-        f"cold attach only x{speedup:.1f} vs decode (floor 20x)"
+        f"cold attach only x{speedup:.1f} vs build (floor 20x)"
     )
     if rss_gated:
         assert private_delta < 0.35 * shard_bytes, (

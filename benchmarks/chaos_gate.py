@@ -181,6 +181,9 @@ def gate_kill_resume() -> list[str]:
         return [f"corpus too small for a mid-batch kill ({len(docs)} docs)"]
     env = _batch_env()
     with tempfile.TemporaryDirectory(prefix="repro-killgate-") as tmp:
+        # A SIGKILLed batch cannot unlink its temporary index shard;
+        # keep it inside this directory so the gate cleans up after it.
+        env["TMPDIR"] = tmp
         doc_dir = os.path.join(tmp, "docs")
         os.makedirs(doc_dir)
         for i, doc in enumerate(docs):

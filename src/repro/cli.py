@@ -589,7 +589,7 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
             if not args.no_index else None
         )
         # One batch per CLI process: drain the persistent pool and
-        # unlink the shared index segment before writing results.
+        # unlink the temporary index shard before writing results.
         executor.close()
         if registry is not None:
             registry.close()

@@ -10,7 +10,7 @@ scale cheap and observable without changing a single score:
   fast path);
 * :mod:`~repro.runtime.pack` — :class:`PackedIndex`, the same tables
   interned to dense integers and flat arrays with packed similarity
-  kernels and a compact binary codec (cheap to ship to pool workers);
+  kernels, serialized in one format (the ``RXPD`` shard);
 * :mod:`~repro.runtime.cache` — :class:`LRUCache`, a bounded pairwise
   memo with hit/miss/eviction counters;
 * :mod:`~repro.runtime.memo` — :class:`SphereMemo`, a bounded LRU of
@@ -19,17 +19,17 @@ scale cheap and observable without changing a single score:
   repeated situations replay bit-identically across documents;
 * :mod:`~repro.runtime.executor` — :class:`BatchExecutor`, a
   pipelined multiprocessing fan-out with serial fallback and
-  deterministic, input-ordered results;
-* :mod:`~repro.runtime.pool` — :class:`PersistentPool` and
-  :class:`SharedIndexSegment`: the long-lived worker runtime (spawn
-  once, serve many batches) and the reference-counted shared-memory
-  segment workers attach the packed index from zero-copy, plus the
+  deterministic, input-ordered results; pool workers attach the
+  packed index zero-copy from an ``RXPD`` shard path;
+* :mod:`~repro.runtime.pool` — :class:`PersistentPool`, the
+  long-lived worker runtime (spawn once, serve many batches), plus the
   ``--workers auto`` helpers :func:`auto_workers` /
   :func:`parse_workers`;
 * :mod:`~repro.runtime.store` — the on-disk ``RXPD`` shard format
   (:func:`write_shard` / :meth:`PackedIndex.from_mmap`): packed tables
-  memory-mapped straight from disk, pages shared across *separate*
-  processes via the OS page cache, plus :class:`NetworkRegistry`, the
+  memory-mapped straight from disk, pages shared across processes
+  (pool workers included) via the OS page cache, plus
+  :class:`NetworkRegistry`, the
   domain -> (network, shard) manifest with LRU attachment and
   coverage-based cross-network fallback routing;
 * :mod:`~repro.runtime.metrics` — :class:`MetricsRegistry`, per-stage
@@ -84,13 +84,7 @@ from .pack import (
     PackedIndexError,
     PackedIndexTruncatedError,
 )
-from .pool import (
-    PersistentPool,
-    SharedIndexHandle,
-    SharedIndexSegment,
-    auto_workers,
-    parse_workers,
-)
+from .pool import PersistentPool, auto_workers, parse_workers
 from .resilience import (
     BatchAbortError,
     CircuitBreaker,
@@ -137,8 +131,6 @@ __all__ = [
     "ScrubTarget",
     "SemanticIndex",
     "ShardScrubber",
-    "SharedIndexHandle",
-    "SharedIndexSegment",
     "SphereMemo",
     "StageTimer",
     "auto_workers",

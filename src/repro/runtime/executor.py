@@ -18,14 +18,14 @@ The parallel path is a **persistent runtime**
 reused across batches, keeping their session state (attached index,
 warm sphere memo, document cache) between batches, so spin-up cost is
 paid once, not per batch.  The semantic index is built **once in the
-parent**, published once into a ``multiprocessing.shared_memory``
-segment, and attached **zero-copy** in every worker — only document
-payloads cross the pool boundary.  Within a batch, chunks flow through
-a bounded-queue pipeline that overlaps submission with result
-collection instead of running submit-all/collect-all barriers.
-``close()`` (or the GC finalizer) terminates workers and unlinks the
-segment; platforms without shared memory fall back to shipping the
-compact codec buffer through the pool initializer.
+parent** and reaches every worker as an ``RXPD`` shard *path*: a
+shard-attached index ships its own file, a heap-built one is written
+once to a temporary shard, and workers memory-map it **zero-copy** —
+only document payloads cross the pool boundary.  Within a batch,
+chunks flow through a bounded-queue pipeline that overlaps submission
+with result collection instead of running submit-all/collect-all
+barriers.  ``close()`` (or the GC finalizer) terminates workers and
+unlinks the temporary shard.
 
 Failure is a first-class outcome, not an exception.  Every document
 comes back with a structured :class:`~repro.runtime.resilience
@@ -45,10 +45,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from ..core.config import XSDFConfig
@@ -60,13 +62,8 @@ from .faults import FaultInjector, InjectedFault
 from .index import SemanticIndex
 from .metrics import MetricsRegistry
 from .pack import PackedIndex, PackedIndexError
-from .pool import (
-    PersistentPool,
-    SharedIndexHandle,
-    SharedIndexSegment,
-    auto_workers,
-)
-from .store import MmapIndexHandle
+from .pool import PersistentPool, auto_workers
+from .store import MmapIndexHandle, write_shard
 from .resilience import (
     ON_ERROR_POLICIES,
     STAGE_INDEX,
@@ -163,31 +160,24 @@ _WORKER_GENERATION: int = 0
 def _init_worker(
     network: SemanticNetwork,
     config: XSDFConfig,
-    index: (
-        "MmapIndexHandle | SharedIndexHandle | PackedIndex | SemanticIndex"
-        " | bytes | None"
-    ),
+    index: "MmapIndexHandle | SemanticIndex | None",
     cache_size: int | None,
     injector: FaultInjector | None = None,
     generation: int = 0,
 ) -> None:
     """Install this worker process's XSDF + caches (pool initializer).
 
-    ``index`` arrives pre-built from the parent.  The fastest path is
-    a :class:`~repro.runtime.store.MmapIndexHandle`: the index lives
-    in an ``RXPD`` shard file, and this worker memory-maps it by path
-    — no payload pickling, no publish, and the pages are shared with
-    the parent *and* every other process mapping the same shard.
-    Next is a :class:`~repro.runtime.pool.SharedIndexHandle`: the
-    parent published the packed tables into shared memory once, and
-    this worker attaches **zero-copy** by name — no payload pickling,
-    no decode, the CSR tables are memoryview casts over the segment.
-    A :class:`PackedIndex` pickles as its compact codec buffer (the
-    no-shared-memory fallback), and raw codec ``bytes`` are the chaos
-    path.  Any payload that fails to attach or decode degrades this
-    worker to a locally built :class:`SemanticIndex` — one rung down
-    the ladder — instead of killing the pool, and the degradation is
-    surfaced through the worker's stats snapshot.
+    ``index`` arrives pre-built from the parent.  A packed index comes
+    as a :class:`~repro.runtime.store.MmapIndexHandle`: the tables
+    live in an ``RXPD`` shard file, and this worker memory-maps it by
+    path — no payload pickling, no decode, and the pages are shared
+    with the parent *and* every other process mapping the same shard.
+    The attach verifies the body CRC, so a damaged shard (or the
+    ``corrupt-packed`` chaos schedule) degrades this worker to a
+    locally built :class:`SemanticIndex` — one rung down the ladder —
+    instead of killing the pool, and the degradation is surfaced
+    through the worker's stats snapshot.  A dict
+    :class:`SemanticIndex` (``packed=False``) arrives pickled.
 
     ``generation`` is the persistent pool's spawn counter: snapshots
     are tagged with it so the parent's stats merge stays monotone
@@ -200,20 +190,8 @@ def _init_worker(
     decode_degraded = False
     if isinstance(index, MmapIndexHandle):
         try:
-            index = PackedIndex.from_mmap(index.path)
+            index = PackedIndex.from_mmap(index.path, verify=True)
         except (PackedIndexError, OSError, ValueError):  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
-            index = SemanticIndex(network)
-            decode_degraded = True
-    elif isinstance(index, SharedIndexHandle):
-        try:
-            index = PackedIndex.from_shared(index.name)
-        except (PackedIndexError, OSError, ValueError):  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
-            index = SemanticIndex(network)
-            decode_degraded = True
-    elif isinstance(index, (bytes, bytearray)):
-        try:
-            index = PackedIndex.from_bytes(bytes(index))
-        except PackedIndexError:  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
             index = SemanticIndex(network)
             decode_degraded = True
     _WORKER_XSDF = _build_xsdf(network, config, index, cache_size)
@@ -389,20 +367,20 @@ def _disambiguate_one(
 
 
 def _release_parallel_state(
-    pool: PersistentPool | None, segment: SharedIndexSegment | None
+    pool: PersistentPool | None, temp_shard: str | None
 ) -> None:
-    """Tear down an executor's persistent pool + shared segment.
+    """Tear down an executor's persistent pool + temporary index shard.
 
     Registered as a ``weakref.finalize`` callback (so a dropped
-    executor cannot leak workers or a ``/dev/shm`` entry even without
-    an explicit ``close()``) and invoked directly by
+    executor cannot leak workers or a ``repro-index-*.rxpd`` file even
+    without an explicit ``close()``) and invoked directly by
     :meth:`BatchExecutor.close`.  Module-level on purpose: a finalizer
     must not hold a reference back to the executor it guards.
     """
     if pool is not None:
         pool.close(terminate=True)
-    if segment is not None:
-        segment.release()
+    if temp_shard is not None:
+        Path(temp_shard).unlink(missing_ok=True)
 
 
 class BatchExecutor:
@@ -441,7 +419,7 @@ class BatchExecutor:
         parallel path ships it to every worker.
     packed:
         Use the interned flat-array :class:`PackedIndex` (default) —
-        faster kernels and a compact pickled form for worker shipping.
+        faster kernels, shipped to workers as an ``RXPD`` shard path.
         ``packed=False`` keeps the dict-keyed :class:`SemanticIndex`
         (the PR 1 runtime, retained for benchmarking and fallback).
         Scores are bit-identical either way.  Ignored when
@@ -484,8 +462,8 @@ class BatchExecutor:
     injector:
         Optional :class:`FaultInjector`; its schedules fire in the
         parent's serial path and in every worker (it ships through the
-        pool initializer), and may corrupt the packed payload shipped
-        to workers.
+        pool initializer), and may corrupt the temporary index shard
+        workers attach.
     index:
         Optional pre-built :class:`PackedIndex` / :class:`SemanticIndex`
         over ``network``.  Long-lived callers (the ``repro serve``
@@ -561,10 +539,10 @@ class BatchExecutor:
         self._doc_cache: LRUCache | None = (
             LRUCache(maxsize=DOC_CACHE_SIZE) if use_index else None
         )
-        # Persistent parallel runtime: pool + shared segment are built
+        # Persistent parallel runtime: pool + shipped shard are built
         # once on the first parallel batch and reused until close().
         self._pool: PersistentPool | None = None
-        self._segment: SharedIndexSegment | None = None
+        self._temp_shard: str | None = None
         self._shard_bytes = 0
         self._finalizer: "weakref.finalize | None" = None
         self._stat_marks: dict[tuple[int, int], dict[str, float]] = {}
@@ -601,12 +579,13 @@ class BatchExecutor:
         self._serial()
 
     def close(self) -> None:
-        """Release the persistent pool and shared-memory segment.
+        """Release the persistent pool and the temporary index shard.
 
-        Terminates workers and unlinks the published ``/dev/shm``
-        segment.  Idempotent, and the executor stays usable: the
+        Terminates workers and unlinks the ``repro-index-*.rxpd`` file
+        this executor wrote (a shard the index was attached from is
+        never touched).  Idempotent, and the executor stays usable: the
         serial path is untouched, and a later parallel batch simply
-        republishes and respawns a fresh runtime.  Executors also
+        rewrites the shard and respawns a fresh runtime.  Executors also
         carry a GC finalizer doing the same teardown, so a dropped
         executor cannot leak — ``close()`` just makes it deterministic
         (the server calls it on session eviction and drain).
@@ -616,7 +595,7 @@ class BatchExecutor:
             finalizer()  # runs _release_parallel_state exactly once
             self._finalizer = None
         self._pool = None
-        self._segment = None
+        self._temp_shard = None
 
     def __enter__(self) -> "BatchExecutor":
         """Context-manager entry (returns self)."""
@@ -641,14 +620,15 @@ class BatchExecutor:
         return min(self.workers, auto_workers())
 
     def runtime_stats(self) -> dict:
-        """Persistent-runtime counters (pool reuse, spawns, shm size).
+        """Persistent-runtime counters (pool reuse, spawns, shard size).
 
         The bench honesty fields: ``pool_reuse_count`` proves warm
-        batches really reused the pool, ``shm_bytes`` is the published
-        shared-index payload size (0 when the byte-shipping fallback
-        ran), ``shard_bytes`` the size of the mmap-shipped shard file
-        (0 unless workers attached by path — the two are mutually
-        exclusive), ``generation``/``worker_respawns`` count spawns.
+        batches really reused the pool, ``shard_bytes`` is the size of
+        the ``RXPD`` shard workers attached by path (0 until a parallel
+        batch ships one), ``shm_bytes`` is always 0 (kept so existing
+        consumers of the key keep working; no shared-memory segment
+        exists any more), ``generation``/``worker_respawns`` count
+        spawns.
         ``intern`` maps each intern table of the in-process (serial)
         pipeline to its ``stats()`` — empty until that pipeline is
         built; pool workers' table traffic reaches the metrics
@@ -664,7 +644,7 @@ class BatchExecutor:
                 "alive": 0,
             }
         )
-        stats["shm_bytes"] = self._segment.size if self._segment else 0
+        stats["shm_bytes"] = 0
         stats["shard_bytes"] = self._shard_bytes
         xsdf = self._serial_xsdf
         stats["intern"] = (
@@ -878,63 +858,61 @@ class BatchExecutor:
         byte_cap = max(1, TARGET_CHUNK_BYTES // mean_doc_bytes)
         return min(count_chunk, byte_cap)
 
-    def _ship_index(self) -> (
-        "MmapIndexHandle | SharedIndexHandle | PackedIndex | SemanticIndex"
-        " | bytes | None"
-    ):
-        """The index payload shipped to workers (chaos may corrupt it).
+    def _ship_index(self) -> "MmapIndexHandle | SemanticIndex | None":
+        """The index ticket shipped to workers (chaos may corrupt it).
 
-        An index attached from an ``RXPD`` shard file ships as a tiny
-        :class:`~repro.runtime.store.MmapIndexHandle` — workers map
-        the file by path, sharing pages with the parent and every
-        other attaching process, and no segment needs publishing or
-        unlinking.  Otherwise a :class:`PackedIndex` is published
-        **once** into a shared-memory segment (owned by this executor
-        until :meth:`close`); what crosses the pool boundary is a tiny
-        :class:`SharedIndexHandle` and workers attach zero-copy.
-        Platforms without working shared memory fall back to shipping
-        the index itself (its pickle is the compact codec buffer).  A
-        ``corrupt-packed`` chaos schedule corrupts whichever payload
-        ships (the shard-path shortcut is skipped so corruption flows
-        through the shm/bytes paths), so attach/decode fails with a
-        typed error and workers degrade one ladder rung — same
-        semantics on every path.
+        A :class:`PackedIndex` always ships as a tiny
+        :class:`~repro.runtime.store.MmapIndexHandle`: workers map the
+        ``RXPD`` file by path, sharing pages with the parent and every
+        other attaching process.  An index attached from a shard ships
+        its own path; a heap-built one is written once to a private
+        ``repro-index-*.rxpd`` temp file that this executor owns until
+        :meth:`close`, and respawned worker generations re-attach it.
+        A ``corrupt-packed`` chaos schedule always writes a temp shard
+        and flips a byte in it — never in a shard it did not write —
+        so the workers' verified attach fails with a typed error and
+        they degrade one ladder rung.  If the temp shard cannot be
+        written, a ``pool_fault`` event records it and workers fall
+        back to the network walk (same output, no index).
+        ``packed=False`` ships the dict index by pickle.
         """
         index = self._ensure_index()
-        injector = self.injector
-        corrupting = (
-            injector is not None
-            and injector.corrupts_packed
-            and isinstance(index, PackedIndex)
-        )
         if not isinstance(index, PackedIndex):
             return index
-        shard = index.shard_path
-        if shard is not None and not corrupting and os.path.isfile(shard):
-            size = os.path.getsize(shard)
-            self._shard_bytes = size
-            if self.metrics is not None:
-                self.metrics.gauge("shard_bytes", size)
-            return MmapIndexHandle(path=shard, size=size)
-        payload = index.to_shared_payload()
-        if corrupting:
-            payload = injector.corrupt_bytes(payload)
-        segment = SharedIndexSegment.publish(payload, metrics=self.metrics)
-        if segment is None:
-            if corrupting:
-                return injector.corrupt_bytes(index.to_bytes())
-            return index
-        self._segment = segment
+        injector = self.injector
+        corrupting = injector is not None and injector.corrupts_packed
+        path = index.shard_path
+        if corrupting or path is None or not os.path.isfile(path):
+            try:
+                fd, path = tempfile.mkstemp(
+                    prefix="repro-index-", suffix=".rxpd"
+                )
+                os.close(fd)
+                self._temp_shard = path  # owned from here: close() unlinks
+                write_shard(index, path)
+                if corrupting:
+                    with open(path, "r+b") as fh:
+                        payload = injector.corrupt_bytes(fh.read())
+                        fh.seek(0)
+                        fh.write(payload)
+            except OSError as exc:
+                if self.metrics is not None:
+                    self.metrics.event(
+                        "pool_fault", kind="shard_write", error=str(exc)
+                    )
+                return None
+        size = os.path.getsize(path)
+        self._shard_bytes = size
         if self.metrics is not None:
-            self.metrics.gauge("shm_bytes", segment.size)
-        return segment.handle
+            self.metrics.gauge("shard_bytes", size)
+        return MmapIndexHandle(path=path, size=size)
 
     def _runtime(self) -> PersistentPool:
         """This executor's persistent pool runtime, created once.
 
-        The shared segment is published and the pool object built on
-        the first parallel batch; both live until :meth:`close` (or the
-        GC finalizer registered here).  Workers themselves are spawned
+        The index shard is shipped and the pool object built on the
+        first parallel batch; both live until :meth:`close` (or the GC
+        finalizer registered here).  Workers themselves are spawned
         lazily by ``PersistentPool.ensure`` and survive across batches
         with their session state (attached index, warm sphere memo,
         document cache) intact.
@@ -951,7 +929,7 @@ class BatchExecutor:
                 metrics=self.metrics,
             )
             self._finalizer = weakref.finalize(
-                self, _release_parallel_state, self._pool, self._segment
+                self, _release_parallel_state, self._pool, self._temp_shard
             )
         return self._pool
 
@@ -993,8 +971,8 @@ class BatchExecutor:
             # Satellite contract: KeyboardInterrupt/SystemExit (and the
             # on_error="fail" abort) must not leave workers stuck on
             # in-flight tasks.  The inner pool is hard-terminated; the
-            # runtime (and its published segment) stays, so the next
-            # batch respawns workers against the same shared index.
+            # runtime (and its index shard) stays, so the next batch
+            # respawns workers against the same shard path.
             runtime.restart()
             raise
         records = [r for r in results if r is not None]

@@ -17,11 +17,11 @@ Fault kinds:
   attempts: the *flaky-then-recover* schedule).
 * ``slow`` — sleep ``delay_s`` before the document runs, to trip the
   executor's per-document wall-clock timeout.
-* ``corrupt-packed`` — deterministically flip a byte in the packed
-  payload shipped to workers (``RXPK`` bytes or the shared ``RXPS``
-  segment), so decode fails with a typed
-  :class:`~repro.runtime.pack.PackedIndexError` and the worker degrades
-  one rung down the ladder.
+* ``corrupt-packed`` — deterministically flip a byte in the temporary
+  ``RXPD`` index shard the executor writes for its pool workers, so
+  their verified attach fails with a typed
+  :class:`~repro.runtime.pack.PackedIndexError` and each worker
+  degrades one rung down the ladder.
 * ``exit`` — kill the worker process mid-document with ``os._exit``
   (the SIGKILL-shaped crash no ``except`` can catch), to exercise the
   persistent pool's respawn-and-requeue path.  In the parent process
@@ -333,10 +333,10 @@ class FaultInjector:
     def corrupt_bytes(self, blob: bytes) -> bytes:
         """Return ``blob`` with a deterministically chosen byte flipped.
 
-        The flip lands past the 15-byte ``RXPK`` header so decoding
-        fails with a typed checksum/structure error rather than a bad
-        magic number; the position depends only on the seed and the
-        payload length.  Returns ``blob`` unchanged when no
+        The flip lands past the 32-byte ``RXPD`` header so a verified
+        attach fails with a typed checksum/structure error rather than
+        a bad magic number; the position depends only on the seed and
+        the payload length.  Returns ``blob`` unchanged when no
         ``corrupt-packed`` schedule fires.
         """
         for spec_index, spec in enumerate(self.specs):
@@ -344,7 +344,7 @@ class FaultInjector:
                 continue
             if spec.rate < 1.0 and self._roll(spec_index, "packed") >= spec.rate:
                 continue
-            header = 15  # RXPK magic + <HBII> header; flip inside the body
+            header = 32  # RXPD disk header; flip inside the body
             if len(blob) <= header + 1:
                 return blob
             pos = header + int(self._roll(spec_index, "pos", len(blob)) * (len(blob) - header))

@@ -185,7 +185,7 @@ class SemanticIndex:
             "concepts": len(self._ancestors),
             # Dict tables always live on this process's heap — reported
             # so stats() is shape-compatible with PackedIndex.stats(),
-            # whose tables may be shm- or mmap-backed.
+            # whose tables may be mmap-backed.
             "backing": "heap",
             "ancestor_entries": sum(
                 len(closure) for closure in self._ancestors.values()

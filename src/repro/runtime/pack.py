@@ -23,17 +23,18 @@ The lowest-common-subsumer tie-break is the same total order the
 network and :class:`SemanticIndex` use: ``(depth, -distance-sum,
 concept-id)``.
 
-The index also carries a compact binary codec (:meth:`to_bytes` /
-:meth:`from_bytes`, wired into pickling via ``__getstate__`` /
-``__setstate__``), so :class:`repro.runtime.executor.BatchExecutor`
-builds the index **once in the parent** and ships a small byte buffer
-to pool workers — worker initialization decodes a buffer instead of
-re-walking the whole network::
+The tables serialize to exactly one format, the ``RXPD`` shard
+(:meth:`to_disk_payload`, written atomically by
+:func:`repro.runtime.store.write_shard`): uncompressed, 8-byte aligned
+sections under a 32-byte CRC-stamped header.  :meth:`from_mmap`
+attaches a shard zero-copy, which is also how
+:class:`repro.runtime.executor.BatchExecutor` ships a parent-built
+index to pool workers — by path, never by pickle::
 
     packed = PackedIndex(network)
-    blob = packed.to_bytes()            # small, checksummed, versioned
-    clone = PackedIndex.from_bytes(blob)
-    xsdf = XSDF(network, config, index=packed)   # drop-in index=
+    write_shard(packed, "net.rxpd")     # one format, CRC-stamped
+    clone = PackedIndex.from_mmap("net.rxpd", verify=True)
+    xsdf = XSDF(network, config, index=clone)    # drop-in index=
 """
 
 from __future__ import annotations
@@ -51,29 +52,19 @@ from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork, UnknownConceptError
 from .index import SemanticIndex
 
-_MAGIC = b"RXPK"
 _VERSION = 1
 
-#: Shared-memory layout magic.  Unlike the ``RXPK`` pickle codec the
-#: shared form is **uncompressed and 8-byte aligned** so attached
-#: processes can serve the CSR tables directly as ``memoryview`` casts
-#: over the segment — zero decode, zero copy.
-_SHARED_MAGIC = b"RXPS"
-
-#: Shared header: magic, version, byteorder flag, pad, CRC-32 of the
-#: body, body length.  16 bytes, so the body starts 8-byte aligned.
-_SHARED_HEADER = struct.Struct("<4sHBxII")
-
-#: On-disk shard magic (``repro pack`` output).  The body is the exact
-#: ``RXPS`` shared layout — uncompressed, 8-byte aligned sections — so
-#: a file can be memory-mapped and served through the same zero-copy
-#: attach path workers use for shared-memory segments.
+#: On-disk shard magic (``repro pack`` output and the pool's worker
+#: transport).  The body is uncompressed with 8-byte aligned sections,
+#: so a mapped file serves the CSR tables as typed ``memoryview``
+#: casts — zero decode, zero copy.
 _DISK_MAGIC = b"RXPD"
 
-#: Disk header: the shared header fields plus a 16-byte network
-#: fingerprint prefix (SHA-256 of the source network, zero when
-#: unknown) so attaching processes can refuse a shard built from a
-#: different network.  32 bytes, so the body stays 8-byte aligned.
+#: Disk header: magic, version, byteorder flag, pad, CRC-32 of the
+#: body, body length, and a 16-byte network fingerprint prefix
+#: (SHA-256 of the source network, zero when unknown) so attaching
+#: processes can refuse a shard built from a different network.  32
+#: bytes, so the body stays 8-byte aligned.
 _DISK_HEADER = struct.Struct("<4sHBxII16s")
 
 #: Attribute names materialized on demand for mmap-attached indexes.
@@ -130,37 +121,8 @@ def _typecode_of(arr: "array | memoryview") -> str:
     """The element typecode of a flat table (array or memoryview)."""
     code = getattr(arr, "typecode", None)
     if code is None:
-        code = arr.format  # a cast memoryview over a shared segment
+        code = arr.format  # a cast memoryview over a mapped shard
     return code
-
-
-def _pack_array(arr: "array | memoryview") -> bytes:
-    """Typecode byte + item count + raw buffer for one flat table."""
-    return (
-        _typecode_of(arr).encode("ascii")
-        + struct.pack("<I", len(arr))
-        + arr.tobytes()
-    )
-
-
-def _unpack_array(blob: bytes, swap: bool) -> array:
-    """Inverse of :func:`_pack_array`; byteswaps on endianness mismatch."""
-    if len(blob) < 5:
-        raise PackedIndexError("array section truncated")
-    typecode = blob[:1].decode("ascii")
-    (count,) = struct.unpack_from("<I", blob, 1)
-    arr = array(typecode)
-    try:
-        arr.frombytes(blob[5:])
-    except ValueError as exc:
-        raise PackedIndexError(f"array section malformed: {exc}") from None
-    if len(arr) != count:
-        raise PackedIndexError(
-            f"array section declares {count} items, holds {len(arr)}"
-        )
-    if swap:
-        arr.byteswap()
-    return arr
 
 
 def _index_typecode(n: int) -> str:
@@ -174,11 +136,11 @@ def _pad8(blob: bytes) -> bytes:
     return blob if remainder == 0 else blob + b"\x00" * (8 - remainder)
 
 
-def _shared_array_section(arr: "array | memoryview") -> bytes:
-    """One shared-layout array payload: typecode, pad, count, raw data.
+def _array_section(arr: "array | memoryview") -> bytes:
+    """One shard array payload: typecode, pad, count, raw data.
 
     The 8-byte prologue keeps the raw element data 8-aligned inside an
-    8-aligned section, so ``memoryview.cast`` over the attached segment
+    8-aligned section, so ``memoryview.cast`` over the mapped shard
     serves even ``"d"`` tables without copying.
     """
     return (
@@ -189,88 +151,25 @@ def _shared_array_section(arr: "array | memoryview") -> bytes:
     )
 
 
-def _shared_array_view(section: memoryview) -> memoryview:
-    """Zero-copy typed view over one shared-layout array payload."""
+def _array_view(section: memoryview) -> memoryview:
+    """Zero-copy typed view over one shard array payload."""
     if len(section) < 8:
-        raise PackedIndexTruncatedError("shared array section truncated")
+        raise PackedIndexTruncatedError("array section truncated")
     typecode = bytes(section[:1]).decode("ascii")
     (count,) = struct.unpack_from("<I", section, 4)
     try:
         itemsize = array(typecode).itemsize
     except ValueError as exc:
         raise PackedIndexError(
-            f"shared array section malformed: {exc}"
+            f"array section malformed: {exc}"
         ) from None
     data = section[8 : 8 + count * itemsize]
     if len(data) != count * itemsize:
         raise PackedIndexTruncatedError(
-            f"shared array section declares {count} items, "
+            f"array section declares {count} items, "
             f"holds {len(data) // max(1, itemsize)}"
         )
     return data.cast(typecode)
-
-
-class _SharedAttachment:
-    """Owns one worker-side attachment to a published shared segment.
-
-    Wraps the raw ``mmap`` adopted out of a ``SharedMemory`` object
-    instead of the object itself: ``SharedMemory.__del__`` insists on
-    closing its mmap even while table views still point into it, which
-    raises ``BufferError`` whenever the garbage collector tears the
-    index and its owner down in the wrong order.  A bare ``mmap``'s
-    mapping is reference-counted through the exported views, so
-    teardown in *any* order is safe, and the attachment fd can be
-    closed eagerly (POSIX mappings survive their fd).
-    """
-
-    __slots__ = ("name", "_mmap")
-
-    def __init__(self, name: str, mmap_obj: Any):
-        self.name = name
-        self._mmap = mmap_obj
-
-    @classmethod
-    def adopt(cls, shm: Any) -> Any:
-        """Take ownership of ``shm``'s mapping, neutering its __del__.
-
-        Returns the attachment owner to thread through
-        :meth:`PackedIndex.from_shared_buffer`; falls back to ``shm``
-        itself on Python builds whose ``SharedMemory`` lacks the
-        private ``_mmap``/``_buf``/``_fd`` slots this relies on.
-        """
-        mmap_obj = getattr(shm, "_mmap", None)
-        if mmap_obj is None:
-            return shm
-        buf = getattr(shm, "_buf", None)
-        if buf is not None:
-            buf.release()
-        # Neutering the wrapper is the whole point of adoption: its
-        # __del__ must find nothing left to close.
-        shm._buf = None  # lint: disable=cache-purity
-        shm._mmap = None  # lint: disable=cache-purity
-        fd = getattr(shm, "_fd", -1)
-        if fd >= 0:
-            os.close(fd)
-            shm._fd = -1  # lint: disable=cache-purity
-        return cls(shm.name, mmap_obj)
-
-    @property
-    def buf(self) -> memoryview:
-        """A fresh view over the adopted mapping."""
-        return memoryview(self._mmap)
-
-    def close(self) -> None:
-        """Release the mapping once no table views are exported.
-
-        A still-exported view (a caller kept a table slice alive past
-        ``release_shared``) makes ``mmap.close`` raise ``BufferError``;
-        the mapping is then reclaimed by refcount when the last view
-        dies, so swallowing it leaks nothing.
-        """
-        try:
-            self._mmap.close()
-        except BufferError:  # lint: disable=silent-degrade  # refcount reclaims the mapping when the last view dies
-            pass
 
 
 class _MmapAttachment:
@@ -279,9 +178,9 @@ class _MmapAttachment:
     The mapping is created with ``ACCESS_READ`` so every attaching
     process shares the same physical pages through the OS page cache —
     a second attach costs address space, not resident memory.  The
-    backing fd is closed eagerly (POSIX mappings survive their fd);
-    :meth:`close` mirrors :class:`_SharedAttachment.close`'s
-    BufferError tolerance so teardown order never matters.
+    backing fd is closed eagerly (POSIX mappings survive their fd),
+    and :meth:`close` tolerates still-exported views so teardown order
+    never matters.
     """
 
     __slots__ = ("path", "size", "_mmap")
@@ -297,7 +196,13 @@ class _MmapAttachment:
         return memoryview(self._mmap)
 
     def close(self) -> None:
-        """Unmap once no table views are exported (refcount otherwise)."""
+        """Unmap once no table views are exported.
+
+        A still-exported view (a caller kept a table slice alive past
+        ``release_shared``) makes ``mmap.close`` raise ``BufferError``;
+        the mapping is then reclaimed by refcount when the last view
+        dies, so swallowing it leaks nothing.
+        """
         try:
             self._mmap.close()
         except BufferError:  # lint: disable=silent-degrade  # refcount reclaims the mapping when the last view dies
@@ -394,7 +299,7 @@ def _interned_overlap_score(tokens_a: list[int], tokens_b: list[int]) -> float:
 
 
 class PackedIndex:
-    """Interned flat-array semantic index with a compact binary codec.
+    """Interned flat-array semantic index, serialized as an RXPD shard.
 
     A drop-in ``index=`` accelerator: pass it wherever a
     :class:`~repro.runtime.index.SemanticIndex` is accepted (the
@@ -407,8 +312,7 @@ class PackedIndex:
     ----------
     network:
         The network to index (not mutated; the packed tables are a
-        snapshot and hold **no** reference to it afterwards, which is
-        what keeps the pickled form small).
+        snapshot and hold **no** reference to it afterwards).
     include_gloss:
         Pack extended-Lesk gloss token bags (True by default).
     ic_smoothing:
@@ -425,9 +329,9 @@ class PackedIndex:
     is_packed = True
 
     #: Path of the ``RXPD`` shard this index was attached from (set by
-    #: :meth:`from_mmap`; ``None`` for heap/shm-backed indexes).  The
-    #: executor ships this path to pool workers instead of a shared-
-    #: memory payload when it is set — the file outlives the parent.
+    #: :meth:`from_mmap`; ``None`` for heap-built indexes).  The
+    #: executor ships this path to pool workers as-is; a heap-built
+    #: index is first written to a temporary shard of its own.
     shard_path: "str | None" = None
 
     def __init__(
@@ -507,47 +411,10 @@ class PackedIndex:
                 ic_values = array("d", (ic.ic(cid) for cid in ids))
                 max_ic = ic.max_ic
 
-        self._install_tables(
-            ids=ids,
-            depths=depths,
-            anc_off=anc_off,
-            anc_cid=anc_cid,
-            anc_dist=anc_dist,
-            tokens=tokens,
-            gloss_off=gloss_off,
-            gloss_tok=gloss_tok,
-            ic_values=ic_values,
-            max_ic=max_ic,
-            max_taxonomy_depth=index.max_taxonomy_depth,
-            ic_smoothing=index._ic_smoothing,
-        )
-
-    def _install_tables(
-        self,
-        ids: tuple[str, ...],
-        depths: "array | memoryview",
-        anc_off: "array | memoryview",
-        anc_cid: "array | memoryview",
-        anc_dist: "array | memoryview",
-        tokens: tuple[str, ...],
-        gloss_off: "array | memoryview | None",
-        gloss_tok: "array | memoryview | None",
-        ic_values: "array | memoryview | None",
-        max_ic: float,
-        max_taxonomy_depth: int,
-        ic_smoothing: float,
-    ) -> None:
-        """Set serialized tables and (re)initialize derived lazy state.
-
-        Tables may be ``array`` objects (the codec path) or typed
-        ``memoryview`` casts over an attached shared-memory segment
-        (the zero-copy path) — every kernel consumes them through the
-        common slice/``tolist`` surface.
-        """
-        self._shared_owner: object | None = None
+        self._mapping: _MmapAttachment | None = None
         self._lazy_blobs: tuple | None = None
         self._ids = ids
-        self._id_of = {cid: i for i, cid in enumerate(ids)}
+        self._id_of = id_of
         self._depths = depths.tolist()
         self._anc_off = anc_off
         self._anc_cid = anc_cid
@@ -558,51 +425,12 @@ class PackedIndex:
         self._ic_values = ic_values
         self._ic_list = ic_values.tolist() if ic_values is not None else None
         self._install_common(
-            n=len(ids),
-            max_ic=max_ic,
-            max_taxonomy_depth=max_taxonomy_depth,
-            ic_smoothing=ic_smoothing,
-        )
-        self._install_derived(len(ids))
-
-    def _install_lazy_tables(
-        self,
-        n: int,
-        id_blob: memoryview,
-        depths: memoryview,
-        anc_off: memoryview,
-        anc_cid: memoryview,
-        anc_dist: memoryview,
-        token_blob: memoryview,
-        gloss_off: "memoryview | None",
-        gloss_tok: "memoryview | None",
-        ic_values: "memoryview | None",
-        max_ic: float,
-        max_taxonomy_depth: int,
-        ic_smoothing: float,
-    ) -> None:
-        """Install mmap-backed tables without decoding the string blobs.
-
-        Cold attach must stay O(section count), not O(concepts): the
-        id/token tables (the bulk of the body) are kept as raw views and
-        decoded on the first access of any interned-string surface
-        (see ``__getattr__``); the CSR arrays are served as typed views
-        directly, exactly like the shared-memory path.
-        """
-        self._shared_owner = None
-        self._lazy_blobs = (id_blob, token_blob, depths, ic_values)
-        self._anc_off = anc_off
-        self._anc_cid = anc_cid
-        self._anc_dist = anc_dist
-        self._gloss_off = gloss_off
-        self._gloss_tok = gloss_tok
-        self._ic_values = ic_values
-        self._install_common(
             n=n,
             max_ic=max_ic,
-            max_taxonomy_depth=max_taxonomy_depth,
-            ic_smoothing=ic_smoothing,
+            max_taxonomy_depth=index.max_taxonomy_depth,
+            ic_smoothing=index._ic_smoothing,
         )
+        self._install_derived(n)
 
     def _install_common(
         self,
@@ -955,16 +783,10 @@ class PackedIndex:
         tokens = self._tokens
         return [tokens[t] for t in self._bag(self._intern(concept_id))]
 
-    # -- codec ----------------------------------------------------------------
+    # -- RXPD shard layout ---------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Serialize every table to one checksummed, versioned buffer.
-
-        The payload is zlib-compressed (interned int runs compress
-        well); the header carries magic, format version, byte order,
-        and a CRC-32 of the compressed body so truncation and
-        corruption are detected before any table is trusted.
-        """
+    def _disk_body(self) -> bytes:
+        """The uncompressed 8-aligned section body of an RXPD shard."""
         flags = (1 if self._gloss_off is not None else 0) | (
             2 if self._ic_values is not None else 0
         )
@@ -980,208 +802,28 @@ class PackedIndex:
         sections = [
             meta,
             _encode_strings(self._ids),
-            _pack_array(array("I", self._depths)),
-            _pack_array(self._anc_off),
-            _pack_array(self._anc_cid),
-            _pack_array(self._anc_dist),
+            _array_section(array("I", self._depths)),
+            _array_section(self._anc_off),
+            _array_section(self._anc_cid),
+            _array_section(self._anc_dist),
             _encode_strings(self._tokens),
-            _pack_array(self._gloss_off if self._gloss_off is not None
-                        else empty),
-            _pack_array(self._gloss_tok if self._gloss_tok is not None
-                        else empty),
-            _pack_array(self._ic_values if self._ic_values is not None
-                        else array("d")),
-        ]
-        body = b"".join(
-            struct.pack("<I", len(section)) + section for section in sections
-        )
-        packed_body = zlib.compress(body, 6)
-        header = _MAGIC + struct.pack(
-            "<HBII",
-            _VERSION,
-            0 if sys.byteorder == "little" else 1,
-            zlib.crc32(packed_body),
-            len(packed_body),
-        )
-        return header + packed_body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PackedIndex":
-        """Decode a :meth:`to_bytes` buffer into a ready-to-query index.
-
-        Raises a typed :class:`PackedIndexError`:
-        :class:`PackedIndexTruncatedError` when the buffer is shorter
-        than the header or the body it declares,
-        :class:`PackedIndexCRCError` when the checksum or compressed
-        stream is corrupt, and the base class for bad magic,
-        unsupported versions, and inconsistent tables.
-        """
-        packed = cls.__new__(cls)
-        packed._decode(data)
-        return packed
-
-    def _decode(self, data: bytes) -> None:
-        """Populate this instance from one serialized buffer."""
-        start = time.perf_counter()
-        header_size = len(_MAGIC) + struct.calcsize("<HBII")
-        if len(data) < header_size:
-            raise PackedIndexTruncatedError(
-                "buffer shorter than the packed header"
-            )
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise PackedIndexError("not a packed-index buffer (bad magic)")
-        version, byteorder, crc, body_len = struct.unpack_from(
-            "<HBII", data, len(_MAGIC)
-        )
-        if version != _VERSION:
-            raise PackedIndexError(
-                f"unsupported packed-index version {version}"
-            )
-        packed_body = data[header_size:]
-        if len(packed_body) < body_len:
-            raise PackedIndexTruncatedError(
-                f"buffer truncated: header declares {body_len} body bytes, "
-                f"{len(packed_body)} present"
-            )
-        packed_body = packed_body[:body_len]
-        if zlib.crc32(packed_body) != crc:
-            raise PackedIndexCRCError("buffer corrupted (checksum mismatch)")
-        try:
-            body = zlib.decompress(packed_body)
-        except zlib.error as exc:
-            raise PackedIndexCRCError(f"buffer corrupted: {exc}") from None
-        sections: list[bytes] = []
-        offset = 0
-        while offset < len(body):
-            if offset + 4 > len(body):
-                raise PackedIndexError("section length truncated")
-            (length,) = struct.unpack_from("<I", body, offset)
-            offset += 4
-            if offset + length > len(body):
-                raise PackedIndexError("section payload truncated")
-            sections.append(body[offset : offset + length])
-            offset += length
-        if len(sections) != 10:
-            raise PackedIndexError(
-                f"expected 10 sections, found {len(sections)}"
-            )
-        swap = (byteorder == 1) != (sys.byteorder == "big")
-        try:
-            n, max_depth, flags, smoothing, max_ic = struct.unpack(
-                "<IIBdd", sections[0]
-            )
-        except struct.error as exc:
-            raise PackedIndexError(f"meta section malformed: {exc}") from None
-        ids = _decode_strings(sections[1])
-        if len(ids) != n:
-            raise PackedIndexError(
-                f"id table declares {n} concepts, holds {len(ids)}"
-            )
-        depths = _unpack_array(sections[2], swap)
-        anc_off = _unpack_array(sections[3], swap)
-        anc_cid = _unpack_array(sections[4], swap)
-        anc_dist = _unpack_array(sections[5], swap)
-        if len(anc_off) != n + 1 or len(depths) != n:
-            raise PackedIndexError("taxonomy tables inconsistent")
-        if len(anc_cid) != len(anc_dist) or (
-            n and anc_off[-1] != len(anc_cid)
-        ):
-            raise PackedIndexError("ancestor tables inconsistent")
-        tokens = _decode_strings(sections[6])
-        gloss_off = gloss_tok = None
-        if flags & 1:
-            gloss_off = _unpack_array(sections[7], swap)
-            gloss_tok = _unpack_array(sections[8], swap)
-            if len(gloss_off) != n + 1 or (
-                n and gloss_off[-1] != len(gloss_tok)
-            ):
-                raise PackedIndexError("gloss tables inconsistent")
-        ic_values = None
-        if flags & 2:
-            ic_values = _unpack_array(sections[9], swap)
-            if len(ic_values) != n:
-                raise PackedIndexError("IC table inconsistent")
-        self._install_tables(
-            ids=ids,
-            depths=depths,
-            anc_off=anc_off,
-            anc_cid=anc_cid,
-            anc_dist=anc_dist,
-            tokens=tokens,
-            gloss_off=gloss_off,
-            gloss_tok=gloss_tok,
-            ic_values=ic_values,
-            max_ic=max_ic,
-            max_taxonomy_depth=max_depth,
-            ic_smoothing=smoothing,
-        )
-        self.build_seconds = time.perf_counter() - start
-
-    # -- shared-memory layout -------------------------------------------------
-
-    def to_shared_payload(self) -> bytes:
-        """Serialize every table to the uncompressed shared layout.
-
-        Unlike :meth:`to_bytes` (zlib-compressed, decode-on-attach)
-        this layout is built for :meth:`from_shared_buffer`: sections
-        are 8-byte aligned and raw, so an attached process serves the
-        CSR tables as ``memoryview`` casts straight over the segment.
-        The header carries a CRC-32 of the whole body, verified once at
-        attach time, so a corrupted segment fails with the same typed
-        errors as a corrupted codec buffer.
-        """
-        body = self._shared_body()
-        header = _SHARED_HEADER.pack(
-            _SHARED_MAGIC,
-            _VERSION,
-            0 if sys.byteorder == "little" else 1,
-            zlib.crc32(body),
-            len(body),
-        )
-        return header + body
-
-    def _shared_body(self) -> bytes:
-        """The uncompressed 8-aligned section body (RXPS and RXPD)."""
-        flags = (1 if self._gloss_off is not None else 0) | (
-            2 if self._ic_values is not None else 0
-        )
-        meta = struct.pack(
-            "<IIBdd",
-            len(self._ids),
-            self.max_taxonomy_depth,
-            flags,
-            self._ic_smoothing,
-            self._max_ic,
-        )
-        empty = array("I")
-        sections = [
-            meta,
-            _encode_strings(self._ids),
-            _shared_array_section(array("I", self._depths)),
-            _shared_array_section(self._anc_off),
-            _shared_array_section(self._anc_cid),
-            _shared_array_section(self._anc_dist),
-            _encode_strings(self._tokens),
-            _shared_array_section(self._gloss_off
-                                  if self._gloss_off is not None else empty),
-            _shared_array_section(self._gloss_tok
-                                  if self._gloss_tok is not None else empty),
-            _shared_array_section(self._ic_values
-                                  if self._ic_values is not None
-                                  else array("d")),
+            _array_section(self._gloss_off
+                           if self._gloss_off is not None else empty),
+            _array_section(self._gloss_tok
+                           if self._gloss_tok is not None else empty),
+            _array_section(self._ic_values
+                           if self._ic_values is not None else array("d")),
         ]
         return b"".join(
             _pad8(struct.pack("<II", len(section), 0) + section)
             for section in sections
         )
 
-    # -- on-disk shard layout -------------------------------------------------
-
     def to_disk_payload(self, fingerprint: str | None = None) -> bytes:
         """Serialize every table to the ``RXPD`` on-disk shard layout.
 
-        The body is byte-identical to :meth:`to_shared_payload`'s; only
-        the header differs: the disk header additionally records the
+        The header carries magic, format version, byte order, a CRC-32
+        of the body (checked by ``from_mmap(verify=True)``) and the
         first 16 bytes of the source network's SHA-256 fingerprint (all
         zeros when unknown) so :meth:`from_mmap` can refuse a shard
         built from a different network.
@@ -1196,7 +838,7 @@ class PackedIndex:
                 ) from None
             if len(digest) < 16:
                 digest = digest.ljust(16, b"\x00")
-        body = self._shared_body()
+        body = self._disk_body()
         header = _DISK_HEADER.pack(
             _DISK_MAGIC,
             _VERSION,
@@ -1207,71 +849,12 @@ class PackedIndex:
         )
         return header + body
 
-    @classmethod
-    def from_shared_buffer(
-        cls, buf: "memoryview | bytes", owner: object | None = None
-    ) -> "PackedIndex":
-        """Attach zero-copy to a :meth:`to_shared_payload` buffer.
+    def _attach_body(self, body: memoryview, owner: _MmapAttachment) -> None:
+        """Install lazy table views over one shard section body.
 
-        The flat tables become typed ``memoryview`` casts over ``buf``
-        — no table is decoded or copied.  ``owner`` (typically the
-        ``SharedMemory`` object backing ``buf``) is kept referenced for
-        the index's lifetime so the mapping cannot be closed while
-        kernels still read through it; :meth:`release_shared` detaches.
-        Raises the same typed :class:`PackedIndexError` family as
-        :meth:`from_bytes` on truncated or corrupted segments.
-        """
-        packed = cls.__new__(cls)
-        packed._attach_shared(memoryview(buf), owner)
-        return packed
-
-    def _attach_shared(self, mv: memoryview, owner: object | None) -> None:
-        """Populate this instance with views over one shared buffer."""
-        start = time.perf_counter()
-        mv = mv.cast("B")
-        if len(mv) < _SHARED_HEADER.size:
-            raise PackedIndexTruncatedError(
-                "buffer shorter than the shared packed header"
-            )
-        magic, version, byteorder, crc, body_len = _SHARED_HEADER.unpack_from(
-            mv, 0
-        )
-        if magic != _SHARED_MAGIC:
-            raise PackedIndexError(
-                "not a shared packed-index buffer (bad magic)"
-            )
-        if version != _VERSION:
-            raise PackedIndexError(
-                f"unsupported shared packed-index version {version}"
-            )
-        if byteorder != (0 if sys.byteorder == "little" else 1):
-            # Shared memory never crosses hosts, so a byte-order
-            # mismatch is corruption, not a portability case.
-            raise PackedIndexError(
-                "shared packed-index buffer has a foreign byte order"
-            )
-        if _SHARED_HEADER.size + body_len > len(mv):
-            raise PackedIndexTruncatedError(
-                f"buffer truncated: header declares {body_len} body bytes, "
-                f"{len(mv) - _SHARED_HEADER.size} present"
-            )
-        body = mv[_SHARED_HEADER.size : _SHARED_HEADER.size + body_len]
-        if zlib.crc32(body) != crc:
-            raise PackedIndexCRCError(
-                "shared buffer corrupted (checksum mismatch)"
-            )
-        self._attach_body(body, owner, lazy=False)
-        self.build_seconds = time.perf_counter() - start
-
-    def _attach_body(
-        self, body: memoryview, owner: object | None, lazy: bool
-    ) -> None:
-        """Install table views over one shared/disk section body.
-
-        ``lazy=False`` (the shared-memory path) decodes the string
-        tables eagerly, exactly as before; ``lazy=True`` (the mmap
-        path) defers them so cold attach touches only the section
-        prologues — a handful of pages regardless of shard size.
+        Cold attach touches only the section prologues — a handful of
+        pages regardless of shard size; the string tables are decoded
+        on first use.
         """
         body_len = len(body)
         sections: list[memoryview] = []
@@ -1295,10 +878,10 @@ class PackedIndex:
             )
         except struct.error as exc:
             raise PackedIndexError(f"meta section malformed: {exc}") from None
-        depths = _shared_array_view(sections[2])
-        anc_off = _shared_array_view(sections[3])
-        anc_cid = _shared_array_view(sections[4])
-        anc_dist = _shared_array_view(sections[5])
+        depths = _array_view(sections[2])
+        anc_off = _array_view(sections[3])
+        anc_cid = _array_view(sections[4])
+        anc_dist = _array_view(sections[5])
         if len(anc_off) != n + 1 or len(depths) != n:
             raise PackedIndexError("taxonomy tables inconsistent")
         if len(anc_cid) != len(anc_dist) or (
@@ -1307,55 +890,35 @@ class PackedIndex:
             raise PackedIndexError("ancestor tables inconsistent")
         gloss_off = gloss_tok = None
         if flags & 1:
-            gloss_off = _shared_array_view(sections[7])
-            gloss_tok = _shared_array_view(sections[8])
+            gloss_off = _array_view(sections[7])
+            gloss_tok = _array_view(sections[8])
             if len(gloss_off) != n + 1 or (
                 n and gloss_off[-1] != len(gloss_tok)
             ):
                 raise PackedIndexError("gloss tables inconsistent")
         ic_values = None
         if flags & 2:
-            ic_values = _shared_array_view(sections[9])
+            ic_values = _array_view(sections[9])
             if len(ic_values) != n:
                 raise PackedIndexError("IC table inconsistent")
-        if lazy:
-            self._install_lazy_tables(
-                n=n,
-                id_blob=sections[1],
-                depths=depths,
-                anc_off=anc_off,
-                anc_cid=anc_cid,
-                anc_dist=anc_dist,
-                token_blob=sections[6],
-                gloss_off=gloss_off,
-                gloss_tok=gloss_tok,
-                ic_values=ic_values,
-                max_ic=max_ic,
-                max_taxonomy_depth=max_depth,
-                ic_smoothing=smoothing,
-            )
-        else:
-            ids = _decode_strings(bytes(sections[1]))
-            if len(ids) != n:
-                raise PackedIndexError(
-                    f"id table declares {n} concepts, holds {len(ids)}"
-                )
-            tokens = _decode_strings(bytes(sections[6]))
-            self._install_tables(
-                ids=ids,
-                depths=depths,
-                anc_off=anc_off,
-                anc_cid=anc_cid,
-                anc_dist=anc_dist,
-                tokens=tokens,
-                gloss_off=gloss_off,
-                gloss_tok=gloss_tok,
-                ic_values=ic_values,
-                max_ic=max_ic,
-                max_taxonomy_depth=max_depth,
-                ic_smoothing=smoothing,
-            )
-        self._shared_owner = owner
+        # Cold attach stays O(section count), not O(concepts): the
+        # id/token tables (the bulk of the body) are kept as raw views,
+        # decoded on the first access of any interned-string surface
+        # (see ``__getattr__``).
+        self._mapping = owner
+        self._lazy_blobs = (sections[1], sections[6], depths, ic_values)
+        self._anc_off = anc_off
+        self._anc_cid = anc_cid
+        self._anc_dist = anc_dist
+        self._gloss_off = gloss_off
+        self._gloss_tok = gloss_tok
+        self._ic_values = ic_values
+        self._install_common(
+            n=n,
+            max_ic=max_ic,
+            max_taxonomy_depth=max_depth,
+            ic_smoothing=smoothing,
+        )
 
     @classmethod
     def from_mmap(
@@ -1374,11 +937,12 @@ class PackedIndex:
         until first use, so attaching a 100k-concept shard touches a
         handful of pages.
 
-        ``verify=True`` additionally checks the body CRC-32 (paging in
-        the whole shard — the write-time default trusts the filesystem
-        the way the shm path trusts the kernel, because unlike a shm
-        publish/attach pair the file was already CRC-stamped by
-        :meth:`to_disk_payload` and validated structurally here).
+        ``verify=True`` additionally checks the body CRC-32, paging in
+        the whole shard; pool workers always verify (a few ms even at
+        100k concepts), while the default trusts a shard that
+        :meth:`to_disk_payload` CRC-stamped and this method validates
+        structurally (:func:`repro.runtime.store.verify_shard` and the
+        scrubber re-check long-lived shards offline).
         ``expect_fingerprint`` (a network SHA-256 hex digest) raises
         when the shard records a different source network.  Raises
         ``FileNotFoundError``/``OSError`` for missing/unmappable files
@@ -1428,7 +992,7 @@ class PackedIndex:
                     "shard corrupted (checksum mismatch)"
                 )
             packed = cls.__new__(cls)
-            packed._attach_body(body, owner, lazy=True)
+            packed._attach_body(body, owner)
             packed.shard_path = path
             packed.build_seconds = time.perf_counter() - start
             return packed
@@ -1436,63 +1000,14 @@ class PackedIndex:
             owner.close()
             raise
 
-    @classmethod
-    def from_shared(cls, name: str) -> "PackedIndex":
-        """Attach to a published shared-memory segment by name.
-
-        This is the worker-side entry point of the zero-copy shipping
-        path: the parent publishes :meth:`to_shared_payload` into a
-        ``multiprocessing.shared_memory`` segment once, and every
-        worker attaches by name instead of decoding a pickled payload.
-        The returned index owns its attachment (the ``SharedMemory``
-        object rides along as the buffer owner); the *segment* stays
-        owned by the publisher.  Raises ``FileNotFoundError`` when no
-        such segment exists and the typed :class:`PackedIndexError`
-        family when its content is corrupt.
-        """
-        import multiprocessing
-        from multiprocessing import resource_tracker, shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        # Attaching registered the segment with a resource tracker as if
-        # we owned it; the publisher owns the unlink.  Whether to
-        # deregister the borrow depends on *whose* tracker that was:
-        # fork children inherit the publisher's tracker process, so the
-        # register was an idempotent re-add of the publisher's own entry
-        # and unregistering here would delete it (the publisher's later
-        # unlink then KeyErrors inside the tracker).  Spawn children run
-        # their own tracker, which really would unlink a segment it does
-        # not own at exit — there the borrow must be deregistered.
-        try:
-            start_method = multiprocessing.get_start_method(allow_none=True)
-        except (ValueError, RuntimeError):  # lint: disable=silent-degrade  # exotic context; treat as unknown method
-            start_method = None
-        borrowed_tracker = (
-            multiprocessing.parent_process() is not None
-            and start_method != "fork"
-        )
-        if borrowed_tracker:
-            unregister = getattr(resource_tracker, "unregister", None)
-            if unregister is not None:
-                unregister(getattr(shm, "_name", None) or shm.name,
-                           "shared_memory")
-        owner = _SharedAttachment.adopt(shm)
-        try:
-            return cls.from_shared_buffer(owner.buf, owner=owner)
-        except BaseException:  # lint: disable=broad-except  # close-and-reraise cleanup, not a handler
-            close = getattr(owner, "close", None)
-            if close is not None:
-                close()
-            raise
-
     def release_shared(self) -> None:
-        """Detach from the shared segment backing this index, if any.
+        """Detach from the shard mapping backing this index, if any.
 
         The flat tables are materialized into private ``array`` copies
-        (the index stays fully usable) and the attachment is closed.
-        Safe to call on non-shared indexes (a no-op); idempotent.
+        (the index stays fully usable) and the mapping is closed.
+        Safe to call on heap-built indexes (a no-op); idempotent.
         """
-        owner = self._shared_owner
+        owner = self._mapping
         if owner is None:
             return
         # Deferred string tables read through the mapping too — decode
@@ -1512,56 +1027,42 @@ class PackedIndex:
         self._gloss_off = _materialize(self._gloss_off)
         self._gloss_tok = _materialize(self._gloss_tok)
         self._ic_values = _materialize(self._ic_values)
-        self._shared_owner = None
-        close = getattr(owner, "close", None)
-        if close is not None:
-            close()
-
-    @property
-    def is_shared(self) -> bool:
-        """True while this index reads through a shared-memory segment."""
-        return self._shared_owner is not None
+        self._mapping = None
+        owner.close()
 
     @property
     def backing(self) -> str:
-        """Where the flat tables live: ``mmap``, ``shm``, or ``heap``.
+        """Where the flat tables live: ``mmap`` or ``heap``.
 
-        ``mmap`` — typed views over a memory-mapped ``RXPD`` shard
-        file (pages shared with every other attaching process);
-        ``shm`` — views over a ``multiprocessing.shared_memory``
-        segment (pages shared within one executor's pool); ``heap`` —
+        ``mmap`` — typed views over a memory-mapped ``RXPD`` shard file
+        (pages shared with every other attaching process); ``heap`` —
         private ``array`` objects owned by this process.
         """
-        owner = self._shared_owner
-        if owner is None:
-            return "heap"
-        return "mmap" if isinstance(owner, _MmapAttachment) else "shm"
+        return "heap" if self._mapping is None else "mmap"
 
-    def __getstate__(self) -> dict[str, bytes]:
-        """Pickle as the compact codec buffer, not the object graph."""
-        return {"packed": self.to_bytes()}
-
-    def __setstate__(self, state: dict[str, bytes]) -> None:
-        """Rebuild every table from the pickled codec buffer."""
-        self._decode(state["packed"])
+    def __reduce__(self) -> Any:
+        """Refuse pickling: an index crosses processes as a shard path."""
+        raise TypeError(
+            "PackedIndex does not pickle; write it with "
+            "repro.runtime.store.write_shard and attach the file with "
+            "PackedIndex.from_mmap"
+        )
 
     # -- observability --------------------------------------------------------
 
     def stats(self) -> dict[str, int | float | str]:
         """Size/build statistics, including pair-kernel memo hit rates.
 
-        ``backing`` reports where the tables live (``heap``/``shm``/
-        ``mmap``).  ``packed_bytes`` is the compact codec size for
-        heap-backed indexes; for attached indexes it is the attachment
-        size (segment or shard file) — re-compressing a mapped shard
-        just to report a number would page the whole thing in.
+        ``backing`` reports where the tables live (``heap``/``mmap``).
+        ``packed_bytes`` is the RXPD shard size: the mapped file's for
+        attached indexes (re-serializing a mapped shard just to report
+        a number would page the whole thing in), the serialized size
+        for heap-built ones.
         """
-        if self._shared_owner is None:
-            packed_bytes = len(self.to_bytes())
+        if self._mapping is None:
+            packed_bytes = _DISK_HEADER.size + len(self._disk_body())
         else:
-            packed_bytes = getattr(self._shared_owner, "size", None)
-            if packed_bytes is None:
-                packed_bytes = len(self._shared_owner.buf)
+            packed_bytes = self._mapping.size
         return {
             "concepts": self._n,
             "backing": self.backing,

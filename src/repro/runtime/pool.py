@@ -2,35 +2,26 @@
 
 Before this module the :class:`~repro.runtime.executor.BatchExecutor`
 created a fresh ``multiprocessing.Pool`` per batch: every batch paid
-worker fork + initializer cost (network unpickle, packed-index decode,
-cold caches) and re-shipped the packed index to every worker.  The
-persistent runtime splits that fixed cost out of the per-batch path:
+worker fork + initializer cost (network unpickle, index attach, cold
+caches).  :class:`PersistentPool` splits that fixed cost out of the
+per-batch path: a long-lived worker pool created once per executor and
+reused across batches.  Workers keep their session state (the index
+attached from the executor's ``RXPD`` shard path, warm
+:class:`~repro.runtime.memo.SphereMemo`, document cache) between
+batches, so steady-state batches pay only document payloads across the
+process boundary.  A poisoned pool (straggler kill, worker crash,
+machinery fault) is terminated and respawned with a bumped
+*generation* — the executor's stats merge uses the generation to keep
+per-worker counters monotone.
 
-* :class:`SharedIndexSegment` — the packed index's shared layout
-  (:meth:`repro.runtime.pack.PackedIndex.to_shared_payload`) published
-  **once** into ``multiprocessing.shared_memory``; workers attach
-  zero-copy by name and serve the CSR tables as ``memoryview`` casts
-  over the segment.  Reference-counted: the segment is unlinked when
-  the last owner releases it, so ``/dev/shm`` never leaks.
-* :class:`PersistentPool` — a long-lived worker pool created once per
-  executor and reused across batches.  Workers keep their session
-  state (attached index, warm :class:`~repro.runtime.memo.SphereMemo`,
-  document cache) between batches, so steady-state batches pay only
-  document payloads across the process boundary.  A poisoned pool
-  (straggler kill, worker crash, machinery fault) is terminated and
-  respawned with a bumped *generation* — the executor's stats merge
-  uses the generation to keep per-worker counters monotone.
-
-Both degrade gracefully: platforms without ``multiprocessing`` or
-POSIX shared memory fall back to the byte-shipping path (the executor
-handles ``publish`` / ``ensure`` returning ``None``), and output stays
-byte-identical either way.
+Platforms without ``multiprocessing`` degrade gracefully: ``ensure``
+returns ``None`` and the executor's circuit breaker drains the batch
+serially, with byte-identical output.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .metrics import MetricsRegistry
@@ -77,103 +68,6 @@ def parse_workers(value: "int | str") -> int:
                 f"workers must be an integer or 'auto', got {value!r}"
             ) from None
     return int(value)
-
-
-@dataclass(frozen=True)
-class SharedIndexHandle:
-    """The tiny picklable ticket a worker needs to attach an index.
-
-    Shipped through the pool initializer instead of the packed payload
-    itself: ``name`` addresses the published segment, ``size`` is the
-    payload length (observability — the segment knows its own size).
-    """
-
-    name: str
-    size: int
-
-
-class SharedIndexSegment:
-    """A reference-counted shared-memory segment holding one payload.
-
-    Created by :meth:`publish` with one reference owned by the
-    publisher.  Long-lived co-owners (a second executor sharing the
-    segment) take :meth:`acquire` / :meth:`release` pairs; the last
-    release closes **and unlinks** the segment, so a drained runtime
-    leaves no ``/dev/shm`` entry behind.  Workers are *not* co-owners:
-    they borrow the mapping via
-    :meth:`~repro.runtime.pack.PackedIndex.from_shared` and the OS
-    reclaims their attachment when they exit.
-    """
-
-    def __init__(self, shm: Any, size: int):
-        self._shm = shm
-        self.size = size
-        self._refs = 1
-        self._released = False
-
-    @classmethod
-    def publish(
-        cls, payload: bytes, metrics: MetricsRegistry | None = None
-    ) -> "SharedIndexSegment | None":
-        """Publish ``payload`` into a fresh segment.
-
-        Returns ``None`` (with a ``pool_fault`` event) on platforms
-        without working POSIX shared memory — the caller falls back to
-        shipping bytes through the pool initializer.
-        """
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, len(payload))
-            )
-        except (ImportError, OSError, ValueError) as exc:
-            if metrics is not None:
-                metrics.event("pool_fault", kind="shm_publish", error=str(exc))
-            return None
-        shm.buf[: len(payload)] = payload
-        return cls(shm, len(payload))
-
-    @property
-    def name(self) -> str:
-        """The segment name workers attach by."""
-        return self._shm.name
-
-    @property
-    def handle(self) -> SharedIndexHandle:
-        """The picklable attach ticket for this segment."""
-        return SharedIndexHandle(name=self._shm.name, size=self.size)
-
-    @property
-    def released(self) -> bool:
-        """True once the segment has been closed and unlinked."""
-        return self._released
-
-    def acquire(self) -> "SharedIndexSegment":
-        """Add one co-owner reference; returns self for chaining."""
-        if self._released:
-            raise ValueError("shared index segment is already released")
-        self._refs += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one reference; the last one closes and unlinks.
-
-        Idempotent past zero: releasing an already-released segment is
-        a no-op, so teardown paths can overlap (explicit ``close()``
-        racing the garbage-collection finalizer) without double-free.
-        """
-        if self._released:
-            return
-        self._refs -= 1
-        if self._refs > 0:
-            return
-        self._released = True
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # lint: disable=silent-degrade  # already unlinked by the OS/tracker; nothing leaks
-            pass
 
 
 def shutdown_pool(pool: Any, terminate: bool = False) -> None:
@@ -263,9 +157,9 @@ class PersistentPool:
         """Hard-terminate a poisoned inner pool; ensure() respawns it.
 
         Worker session state (warm memo, doc cache) dies with the
-        workers — correctness never depended on it — while the shared
-        index segment stays published, so the respawned generation
-        re-attaches instead of re-shipping.
+        workers — correctness never depended on it — while the index
+        shard stays on disk, so the respawned generation re-attaches
+        the same path instead of re-shipping.
         """
         if self._pool is None:
             return

@@ -1,14 +1,15 @@
 """On-disk ``RXPD`` index shards and the multi-network registry.
 
-:mod:`repro.runtime.pack` gives one process zero-copy CSR tables over
-a shared-memory segment, but the segment dies with its publisher —
-every fresh ``repro batch``/``repro serve`` invocation still pays the
-full index build or ``RXPK`` decode at startup.  This module makes the
-packed tables a *persistent* artifact:
+``RXPD`` is the one serialized form of a :class:`PackedIndex`: the
+``repro pack`` artifact, the registry's per-domain index, and the way
+:class:`~repro.runtime.executor.BatchExecutor` ships an index to pool
+workers (a temporary shard when the index was built in memory).
+Without a shard, every fresh ``repro batch``/``repro serve``
+invocation pays the full index build at startup.
 
 * :func:`write_shard` — atomically write a :class:`PackedIndex` to an
-  ``RXPD`` shard file (the ``RXPS`` shared layout under a disk header
-  carrying the source network's fingerprint);
+  ``RXPD`` shard file (8-byte aligned sections under a 32-byte header
+  carrying the body CRC and the source network's fingerprint);
 * :meth:`PackedIndex.from_mmap` — attach the shard read-only through
   ``mmap``; every attaching process (server, pool workers, concurrent
   CLI runs) shares the same physical pages via the OS page cache;
@@ -54,11 +55,11 @@ class RegistryError(ValueError):
 class MmapIndexHandle:
     """A pool-shippable ticket for an on-disk shard attachment.
 
-    The mmap analogue of :class:`repro.runtime.pool.SharedIndexHandle`:
-    instead of a shared-memory segment name, workers receive the shard
-    *path* and attach with :meth:`PackedIndex.from_mmap` — no payload
-    pickling, no publish step, and the file (unlike a segment) outlives
-    every process, so there is nothing to unlink.
+    The only way a :class:`PackedIndex` reaches pool workers: they
+    receive the shard *path* and attach with
+    :meth:`PackedIndex.from_mmap` — no payload pickling, and respawned
+    workers re-attach the same file.  The executor that wrote a
+    temporary shard unlinks it on ``close()``.
     """
 
     path: str

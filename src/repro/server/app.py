@@ -273,9 +273,9 @@ class ServerApp:
     def close(self) -> None:
         """Release scoring thread, sessions' runtimes, and metrics.
 
-        Every resident session drains its persistent pool and drops its
-        shared-segment reference here, so a SIGTERM drain leaves no
-        worker processes or ``/dev/shm`` entries behind.  The scrub
+        Every resident session drains its persistent pool and unlinks
+        its temporary index shard here, so a SIGTERM drain leaves no
+        worker processes or ``repro-index-*.rxpd`` files behind.  The scrub
         thread is stopped and joined first — it must not report damage
         into a half-torn-down app.
         """
@@ -563,7 +563,7 @@ class ServerApp:
         # session is the one whose warmth the operator is tracking.
         # Override sessions still run, they just are not individually
         # gauged.  ``workers > 1`` sessions own a persistent worker
-        # pool + shared index segment, reused across every request they
+        # pool + index shard path, reused across every request they
         # serve.  A ``domain`` session scores against that registry
         # domain's network and (usually mmap-attached) index.
         network, index = self.network, self._index
@@ -608,7 +608,7 @@ class ServerApp:
                 self._sessions.move_to_end(oldest, last=True)
                 oldest = next(iter(self._sessions))
             # Eviction must release runtime resources (persistent pool,
-            # shared segment refcount), not just drop the reference.
+            # temporary index shard), not just drop the reference.
             self._sessions.pop(oldest).close()
             self.metrics.count("server_sessions_evicted")
         return session
@@ -690,7 +690,7 @@ class ServerApp:
                 "kind": "packed" if self.server_config.packed else "dict",
                 "concepts": len(self.network),
                 # "mmap" proves the zero-copy shard attach is live,
-                # "shm" a pool segment, "heap" an in-process build.
+                # "heap" an in-process build.
                 "backing": (
                     getattr(self._index, "backing", "heap")
                     if self._index is not None else None

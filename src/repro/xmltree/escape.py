@@ -8,7 +8,14 @@ serializer (escaping output).
 
 from __future__ import annotations
 
+import re
+
 from .errors import XMLEntityError
+
+#: One code point outside the XML 1.0 ``Char`` production: C0 controls
+#: other than tab/LF/CR, surrogates, and U+FFFE/U+FFFF.  Such
+#: characters are rejected raw and as character references.
+NON_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 #: The five entities predefined by the XML 1.0 specification.
 PREDEFINED_ENTITIES = {
@@ -61,7 +68,12 @@ def _resolve_char_reference(body: str) -> str:
         raise XMLEntityError(f"malformed character reference '&{body};'") from None
     if not 0 < codepoint <= 0x10FFFF:
         raise XMLEntityError(f"character reference out of range '&{body};'")
-    return chr(codepoint)
+    char = chr(codepoint)
+    if NON_XML_CHAR.match(char):
+        raise XMLEntityError(
+            f"character reference to a non-XML character '&{body};'"
+        )
+    return char
 
 
 def unescape(text: str, extra_entities: dict[str, str] | None = None) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import XMLSyntaxError
-from .escape import unescape
+from .escape import NON_XML_CHAR, unescape
 
 #: Characters allowed to start an XML name (ASCII subset plus common
 #: Unicode letters; intentionally permissive for real-world documents).
@@ -106,6 +106,12 @@ class XMLLexer:
     def _error(self, message: str) -> XMLSyntaxError:
         return XMLSyntaxError(message, self._line, self._col)
 
+    def _error_at(self, index: int, message: str) -> XMLSyntaxError:
+        """A syntax error positioned at absolute source offset ``index``."""
+        line = self._src.count("\n", 0, index) + 1
+        column = index - self._src.rfind("\n", 0, index)
+        return XMLSyntaxError(message, line, column)
+
     def _expect(self, literal: str) -> None:
         if not self._src.startswith(literal, self._pos):
             raise self._error(f"expected '{literal}'")
@@ -136,7 +142,18 @@ class XMLLexer:
     # -- token production ----------------------------------------------
 
     def tokens(self) -> Iterator[Token]:
-        """Yield tokens until EOF.  The final token is always EOF."""
+        """Yield tokens until EOF.  The final token is always EOF.
+
+        One regex scan up front rejects any raw character outside the
+        XML ``Char`` production, wherever it sits (text, attribute
+        values, comments, CDATA, PIs).
+        """
+        bad = NON_XML_CHAR.search(self._src)
+        if bad is not None:
+            raise self._error_at(
+                bad.start(),
+                f"character {bad.group()!r} is not allowed in XML",
+            )
         while self._pos < len(self._src):
             line, col = self._line, self._col
             if self._peek() == "<":
@@ -149,8 +166,14 @@ class XMLLexer:
         end = self._src.find("<", self._pos)
         if end == -1:
             end = len(self._src)
-        raw = self._src[self._pos : end]
-        self._advance(end - self._pos)
+        start = self._pos
+        raw = self._src[start:end]
+        close = raw.find("]]>")
+        if close != -1:
+            raise self._error_at(
+                start + close, "']]>' not allowed in character data"
+            )
+        self._advance(end - start)
         try:
             text = unescape(raw, self.entities)
         except XMLSyntaxError as exc:
@@ -270,7 +293,11 @@ class XMLLexer:
             raw = self._read_until(quote, "unterminated attribute value")
             if "<" in raw:
                 raise self._error(f"'<' not allowed in attribute value of '{name}'")
-            attributes.append((name, unescape(raw, self.entities)))
+            try:
+                value = unescape(raw, self.entities)
+            except XMLSyntaxError as exc:
+                raise type(exc)(str(exc), self._line, self._col) from None
+            attributes.append((name, value))
 
 
 def tokenize(source: str) -> list[Token]:

@@ -152,21 +152,26 @@ class TestSchedules:
 
 
 class TestCorruptPacked:
-    def test_corrupt_bytes_is_deterministic_and_typed(self, lexicon):
-        blob = PackedIndex(lexicon).to_bytes()
+    def test_corrupt_bytes_is_deterministic_and_typed(
+        self, lexicon, tmp_path
+    ):
+        blob = PackedIndex(lexicon).to_disk_payload()
         injector = FaultInjector(5, [FaultSpec.corrupt_packed()])
         mutated = injector.corrupt_bytes(blob)
         assert mutated != blob
         assert mutated == injector.corrupt_bytes(blob)  # same seed, same flip
-        assert mutated[:4] == b"RXPK"  # header left intact -> typed error
+        # The 32-byte RXPD header is left intact -> typed body error.
+        assert mutated[:32] == blob[:32]
+        shard = tmp_path / "corrupt.rxpd"
+        shard.write_bytes(mutated)
         with pytest.raises(PackedIndexError) as excinfo:
-            PackedIndex.from_bytes(mutated)
+            PackedIndex.from_mmap(shard, verify=True)
         assert isinstance(
             excinfo.value, (PackedIndexCRCError, PackedIndexTruncatedError)
         )
 
     def test_no_corrupt_spec_leaves_bytes_alone(self, lexicon):
-        blob = PackedIndex(lexicon).to_bytes()
+        blob = PackedIndex(lexicon).to_disk_payload()
         injector = FaultInjector(5, [FaultSpec.raising()])
         assert injector.corrupt_bytes(blob) is blob
         assert not injector.corrupts_packed

@@ -1,4 +1,4 @@
-"""PackedIndex correctness: packed kernels, codec, worker shipping.
+"""PackedIndex correctness: packed kernels, RXPD codec, worker shipping.
 
 Three contracts are pinned here:
 
@@ -6,13 +6,13 @@ Three contracts are pinned here:
   depths, LCS, taxonomic distance, gloss bags, IC, the Lesk kernel)
   must ``==`` the :class:`SemanticIndex` / network-walk value, on the
   curated lexicon and on random synthetic networks;
-* **codec round-trip** — ``to_bytes`` → ``from_bytes`` reproduces every
-  table exactly, and truncated/corrupted/foreign buffers raise
-  :class:`PackedIndexError` instead of mis-decoding;
-* **worker shipping** — pickling goes through the compact codec
-  (``__getstate__``/``__setstate__``) and the payload is a fraction of
-  the pickled network, which is what makes parent-built index sharing
-  cheaper than per-worker rebuilds.
+* **codec round-trip** — ``write_shard`` → ``from_mmap(verify=True)``
+  reproduces every table exactly, and truncated/corrupted/foreign
+  ``RXPD`` bytes raise :class:`PackedIndexError` instead of
+  mis-attaching;
+* **worker shipping** — an index crosses processes only as a shard
+  path: pickling a :class:`PackedIndex` is refused with a pointer to
+  the shard API.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.runtime import (
     PackedIndexError,
     PackedIndexTruncatedError,
     SemanticIndex,
+    write_shard,
 )
 from repro.semnet.generator import GeneratorConfig, generate_network
 from repro.semnet.network import UnknownConceptError
@@ -58,6 +59,20 @@ def _assert_query_parity(network, index, packed, pairs):
         assert packed.ic.ic(a) == index.ic.ic(a)
     assert packed.ic.max_ic == index.ic.max_ic
     assert packed.max_taxonomy_depth == index.max_taxonomy_depth
+
+
+def _attach_bytes(directory, blob, name="shard.rxpd"):
+    """Write raw ``RXPD`` bytes to a file and attach it, CRC-verified."""
+    path = directory / name
+    path.write_bytes(blob)
+    return PackedIndex.from_mmap(path, verify=True)
+
+
+def _round_trip(directory, packed):
+    """``packed`` written with ``write_shard`` and attached back."""
+    path = directory / "round-trip.rxpd"
+    write_shard(packed, path)
+    return PackedIndex.from_mmap(path, verify=True)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +113,7 @@ class TestQueryParity:
         index = SemanticIndex(lexicon)
         via_index = PackedIndex.from_semantic_index(index)
         direct = PackedIndex(lexicon)
-        assert via_index.to_bytes() == direct.to_bytes()
+        assert via_index.to_disk_payload() == direct.to_disk_payload()
 
     def test_unknown_concept_raises(self, packed_lexicon):
         with pytest.raises(UnknownConceptError):
@@ -122,91 +137,88 @@ class TestQueryParity:
 
 
 class TestCodec:
-    def test_round_trip_on_curated_lexicon(self, lexicon, packed_lexicon):
-        clone = PackedIndex.from_bytes(packed_lexicon.to_bytes())
+    def test_round_trip_on_curated_lexicon(
+        self, lexicon, packed_lexicon, tmp_path
+    ):
+        clone = _round_trip(tmp_path, packed_lexicon)
+        assert clone.backing == "mmap"
         _assert_query_parity(
             lexicon, packed_lexicon, clone, _sample_pairs(lexicon, seed=1)
         )
-        # The decoded tables re-encode to the identical buffer.
-        assert clone.to_bytes() == packed_lexicon.to_bytes()
+        # The attached tables re-serialize to the identical shard.
+        assert clone.to_disk_payload() == packed_lexicon.to_disk_payload()
+        clone.release_shared()
 
     @pytest.mark.parametrize("seed", [0, 7, 19])
-    def test_round_trip_on_random_synthetic_networks(self, seed):
+    def test_round_trip_on_random_synthetic_networks(self, seed, tmp_path):
         network = generate_network(
             GeneratorConfig(
                 n_concepts=60 + 30 * seed, mean_polysemy=1.8, seed=seed
             )
         )
         packed = PackedIndex(network)
-        clone = PackedIndex.from_bytes(packed.to_bytes())
-        assert clone.to_bytes() == packed.to_bytes()
+        clone = _round_trip(tmp_path, packed)
+        assert clone.to_disk_payload() == packed.to_disk_payload()
         for a, b in _sample_pairs(network, n_pairs=40, seed=seed):
             assert clone.pair_terms(a, b) == packed.pair_terms(a, b)
             assert clone.lesk_similarity(a, b) == packed.lesk_similarity(a, b)
+        clone.release_shared()
 
-    def test_truncated_buffers_raise(self, packed_lexicon):
-        blob = packed_lexicon.to_bytes()
+    def test_truncated_buffers_raise(self, packed_lexicon, tmp_path):
+        blob = packed_lexicon.to_disk_payload()
         for cut in (0, 4, 10, len(blob) // 2, len(blob) - 1):
             with pytest.raises(PackedIndexError):
-                PackedIndex.from_bytes(blob[:cut])
+                _attach_bytes(tmp_path, blob[:cut])
 
-    def test_truncation_raises_the_typed_subclass(self, packed_lexicon):
+    def test_truncation_raises_the_typed_subclass(
+        self, packed_lexicon, tmp_path
+    ):
         """Truncation is distinguishable from corruption (typed errors)."""
-        blob = packed_lexicon.to_bytes()
+        blob = packed_lexicon.to_disk_payload()
         for cut in (0, 10, len(blob) - 1):
             with pytest.raises(PackedIndexTruncatedError):
-                PackedIndex.from_bytes(blob[:cut])
+                _attach_bytes(tmp_path, blob[:cut])
         # The subclass is still the umbrella PackedIndexError, so
         # existing except clauses keep working.
         assert issubclass(PackedIndexTruncatedError, PackedIndexError)
 
-    def test_corrupted_body_raises(self, packed_lexicon):
-        blob = bytearray(packed_lexicon.to_bytes())
+    def test_corrupted_body_raises(self, packed_lexicon, tmp_path):
+        blob = bytearray(packed_lexicon.to_disk_payload())
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(PackedIndexError):
-            PackedIndex.from_bytes(bytes(blob))
+            _attach_bytes(tmp_path, bytes(blob))
 
-    def test_corruption_raises_the_crc_subclass(self, packed_lexicon):
-        blob = bytearray(packed_lexicon.to_bytes())
+    def test_corruption_raises_the_crc_subclass(
+        self, packed_lexicon, tmp_path
+    ):
+        blob = bytearray(packed_lexicon.to_disk_payload())
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(PackedIndexCRCError):
-            PackedIndex.from_bytes(bytes(blob))
+            _attach_bytes(tmp_path, bytes(blob))
         assert issubclass(PackedIndexCRCError, PackedIndexError)
 
-    def test_foreign_magic_and_version_raise(self, packed_lexicon):
-        blob = packed_lexicon.to_bytes()
+    def test_foreign_magic_and_version_raise(self, packed_lexicon, tmp_path):
+        blob = packed_lexicon.to_disk_payload()
         with pytest.raises(PackedIndexError):
-            PackedIndex.from_bytes(b"XXXX" + blob[4:])
+            _attach_bytes(tmp_path, b"XXXX" + blob[4:])
         with pytest.raises(PackedIndexError):
             # Bump the version halfword past anything supported.
-            PackedIndex.from_bytes(blob[:4] + b"\xff\xff" + blob[6:])
+            _attach_bytes(tmp_path, blob[:4] + b"\xff\xff" + blob[6:])
 
 
 class TestWorkerShipping:
-    def test_pickle_round_trip_preserves_queries(
-        self, lexicon, packed_lexicon
-    ):
-        clone = pickle.loads(pickle.dumps(packed_lexicon))
-        for a, b in _sample_pairs(lexicon, n_pairs=40, seed=2):
-            assert clone.pair_terms(a, b) == packed_lexicon.pair_terms(a, b)
-            assert clone.gloss_bag(a) == packed_lexicon.gloss_bag(a)
-
-    def test_pickled_packed_index_is_smaller_than_network(
-        self, lexicon, lexicon_index, packed_lexicon
-    ):
-        """The worker-shipping win: packed bytes ≪ pickled inputs."""
-        packed_size = len(pickle.dumps(packed_lexicon))
-        network_size = len(pickle.dumps(lexicon))
-        index_size = len(pickle.dumps(lexicon_index))
-        assert packed_size < network_size / 2
-        assert packed_size < index_size / 2
+    def test_pickle_is_refused_with_a_shard_hint(self, packed_lexicon):
+        """One transport: an index crosses processes as a shard path."""
+        with pytest.raises(TypeError, match="write_shard"):
+            pickle.dumps(packed_lexicon)
 
     def test_stats_shape(self, packed_lexicon, lexicon):
         stats = packed_lexicon.stats()
         assert stats["concepts"] == len(lexicon)
         assert stats["ancestor_entries"] >= stats["concepts"]
         assert stats["distinct_tokens"] <= stats["gloss_tokens"]
-        assert stats["packed_bytes"] > 0
+        assert stats["backing"] == "heap"
+        assert stats["packed_bytes"] == len(packed_lexicon.to_disk_payload())
         assert stats["build_seconds"] >= 0
         a, b = [concept.id for concept in lexicon][5:7]
         before = packed_lexicon.stats()["pair_memo_misses"]

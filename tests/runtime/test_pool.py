@@ -1,14 +1,16 @@
-"""Persistent pool runtime: lifecycle, shm hygiene, crash recovery.
+"""Persistent pool runtime: lifecycle, temp-shard hygiene, crash recovery.
 
-The contracts pinned here are the PR-8 tentpole's:
+The contracts pinned here:
 
-* a second batch on the same executor **reuses** the warm pool (no
-  respawn, no republish);
+* a second batch on the same executor **reuses** the warm pool and the
+  shipped index shard (no respawn, no rewrite);
 * a worker hard-killed mid-document (``os._exit``, the crash no
-  ``except`` can catch) triggers respawn-and-requeue and the batch
-  still completes with byte-identical survivors;
-* ``close()`` unlinks the published shared-memory segment — no leaked
-  ``/dev/shm`` entries;
+  ``except`` can catch) triggers respawn-and-requeue, the respawned
+  generation re-attaches the same shard path, and the batch still
+  completes with byte-identical survivors;
+* ``close()`` — or the GC finalizer of a dropped executor — unlinks
+  the temporary ``repro-index-*.rxpd`` shard; an index attached from a
+  shard ships that shard's own path and writes no temp file;
 * serial and persistent-pool output are byte-identical even across
   ``PYTHONHASHSEED`` variation (subprocess-checked, since the hash
   seed is frozen at interpreter start).
@@ -16,9 +18,11 @@ The contracts pinned here are the PR-8 tentpole's:
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -29,10 +33,24 @@ from repro.runtime import (
     FaultSpec,
     MetricsRegistry,
     PackedIndex,
-    SharedIndexSegment,
     auto_workers,
     parse_workers,
+    write_shard,
 )
+
+
+@pytest.fixture()
+def private_tmp(tmp_path, monkeypatch):
+    """Route ``tempfile`` to a fresh directory; returns its shard lister."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def temp_shards():
+        return sorted(
+            name for name in os.listdir(tmp_path)
+            if name.startswith("repro-index-") and name.endswith(".rxpd")
+        )
+
+    return temp_shards
 
 
 class TestWorkerCountHelpers:
@@ -66,46 +84,6 @@ class TestWorkerCountHelpers:
             BatchExecutor(lexicon, workers=parse_workers("0"))
 
 
-class TestSharedIndexSegment:
-    def test_publish_attach_release_roundtrip(self, lexicon):
-        payload = PackedIndex(lexicon).to_shared_payload()
-        segment = SharedIndexSegment.publish(payload)
-        assert segment is not None
-        assert segment.size == len(payload)
-        attached = PackedIndex.from_shared(segment.name)
-        assert attached.is_shared
-        attached.release_shared()
-        assert not attached.is_shared
-        segment.release()
-        assert segment.released
-
-    def test_last_release_unlinks_the_segment(self, lexicon):
-        from multiprocessing import shared_memory
-
-        payload = PackedIndex(lexicon).to_shared_payload()
-        segment = SharedIndexSegment.publish(payload)
-        assert segment is not None
-        name = segment.name
-        segment.acquire()  # a second co-owner
-        segment.release()  # publisher leaves; co-owner keeps it alive
-        assert not segment.released
-        PackedIndex.from_shared(name).release_shared()  # still attachable
-        segment.release()  # last co-owner leaves -> unlink
-        assert segment.released
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_release_is_idempotent_and_acquire_after_release_fails(
-        self, lexicon
-    ):
-        segment = SharedIndexSegment.publish(b"payload")
-        assert segment is not None
-        segment.release()
-        segment.release()  # no double-unlink
-        with pytest.raises(ValueError):
-            segment.acquire()
-
-
 class TestWarmPoolReuse:
     def test_second_batch_reuses_the_pool(self, lexicon, figure1_xml):
         metrics = MetricsRegistry()
@@ -119,7 +97,8 @@ class TestWarmPoolReuse:
             assert stats["alive"] == 1
             assert stats["generation"] == 1
             assert stats["pool_reuse_count"] == 0
-            assert stats["shm_bytes"] > 0
+            assert stats["shard_bytes"] > 0
+            assert stats["shm_bytes"] == 0
             second = [r.to_json_line() for r in executor.run(docs)]
             stats = executor.runtime_stats()
             # Same generation: the warm pool served the second batch;
@@ -147,22 +126,110 @@ class TestWarmPoolReuse:
         executor.close()
 
 
-class TestShmHygiene:
-    def test_close_unlinks_the_published_segment(self, lexicon, figure1_xml):
-        from multiprocessing import shared_memory
-
+class TestTempShardHygiene:
+    def test_close_unlinks_the_temp_shard(
+        self, lexicon, figure1_xml, private_tmp
+    ):
         executor = BatchExecutor(
             lexicon, XSDFConfig(), workers=2, oversubscribe=True
         )
         executor.run([(f"doc-{i}", figure1_xml) for i in range(3)])
-        segment = executor._segment
-        assert segment is not None and not segment.released
-        name = segment.name
-        shared_memory.SharedMemory(name=name).close()  # exists while open
+        (name,) = private_tmp()
+        assert executor.runtime_stats()["shard_bytes"] == os.path.getsize(
+            os.path.join(tempfile.gettempdir(), name)
+        )
         executor.close()
-        assert segment.released
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        assert private_tmp() == []
+
+    def test_gc_finalizer_unlinks_the_temp_shard(
+        self, lexicon, figure1_xml, private_tmp
+    ):
+        executor = BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+        )
+        executor.run([(f"doc-{i}", figure1_xml) for i in range(3)])
+        assert len(private_tmp()) == 1
+        del executor  # dropped without close()
+        gc.collect()
+        assert private_tmp() == []
+
+    def test_second_batch_reuses_the_shard_without_rewriting(
+        self, lexicon, figure1_xml, private_tmp
+    ):
+        docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+        ) as executor:
+            executor.run(docs)
+            (name,) = private_tmp()
+            path = os.path.join(tempfile.gettempdir(), name)
+            before = os.stat(path)
+            executor.run(docs)
+            after = os.stat(path)
+            assert private_tmp() == [name]
+            assert (after.st_ino, after.st_mtime_ns) == (
+                before.st_ino, before.st_mtime_ns
+            )
+
+    def test_worker_respawn_reattaches_the_same_path(
+        self, lexicon, figure1_xml, private_tmp
+    ):
+        injector = FaultInjector(
+            seed=42, specs=[FaultSpec.exiting(match="victim", max_attempt=1)]
+        )
+        metrics = MetricsRegistry()
+        docs = [("victim", figure1_xml)] + [
+            (f"doc-{i}", figure1_xml) for i in range(3)
+        ]
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, metrics=metrics,
+            injector=injector, doc_timeout=1.0, backoff_base=0.0,
+            oversubscribe=True,
+        ) as executor:
+            records = executor.run(docs)
+            assert executor.runtime_stats()["generation"] >= 2
+            assert len(private_tmp()) == 1  # never rewritten per spawn
+        assert all(r.ok for r in records), [r.error for r in records]
+        # A failed attach would have degraded the respawned workers.
+        assert metrics.counter("degrade_packed_decode") == 0
+        assert private_tmp() == []
+
+    def test_unwritable_shard_falls_back_to_the_network_walk(
+        self, lexicon, figure1_xml, private_tmp, monkeypatch
+    ):
+        def _disk_full(index, path, fingerprint=None):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.runtime.executor.write_shard", _disk_full)
+        docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
+        metrics = MetricsRegistry()
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, metrics=metrics,
+            oversubscribe=True,
+        ) as executor:
+            parallel = [r.to_json_line() for r in executor.run(docs)]
+        (event,) = metrics.events("pool_fault")
+        assert event["kind"] == "shard_write"
+        assert private_tmp() == []  # the half-made temp file is unlinked
+        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1)
+        assert parallel == [r.to_json_line() for r in serial.run(docs)]
+
+    def test_shard_attached_index_ships_its_own_path(
+        self, lexicon, figure1_xml, private_tmp, tmp_path
+    ):
+        shard = tmp_path / "own.rxpd"
+        write_shard(PackedIndex(lexicon), shard)
+        index = PackedIndex.from_mmap(shard)
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, index=index,
+            oversubscribe=True,
+        ) as executor:
+            executor.run([(f"doc-{i}", figure1_xml) for i in range(3)])
+            assert private_tmp() == []  # no temp shard written
+            stats = executor.runtime_stats()
+        index.release_shared()
+        assert stats["shard_bytes"] == os.path.getsize(shard)
+        assert shard.exists()  # close() never unlinks a shard it did not write
 
 
 class TestWorkerCrashRecovery:

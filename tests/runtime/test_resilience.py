@@ -250,7 +250,7 @@ class TestChaosParity:
         records = executor.run(docs)
         assert all(r.ok for r in records)
         assert _lines(records) == baseline
-        # Every worker decoded a corrupted payload and degraded one rung.
+        # Every worker attached the corrupted temp shard and degraded one rung.
         counters = metrics.report()["counters"]
         assert counters.get("degrade_packed_decode", 0) >= 1
 

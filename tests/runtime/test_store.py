@@ -13,8 +13,9 @@ Four contracts are pinned here:
   degrades shardless domains to heap builds, and routes documents by
   lexicon coverage deterministically;
 * **worker shipping** — pool workers attach a shard-backed index by
-  *path* (``shard_bytes > 0``, ``shm_bytes == 0``), with results
-  identical to the shm/serial paths.
+  its own *path* (``shard_bytes`` is the shard's size, ``shm_bytes``
+  stays 0), with results identical to the serial path; a mapped index
+  never pickles.
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ class TestShardRoundTrip:
         pairs = _sample_pairs(lexicon, n_pairs=40)
         _assert_query_parity(lexicon, lexicon_index, packed, pairs)
 
-    def test_pickle_of_mmap_index_round_trips(self, lexicon, lexicon_shard):
+    def test_pickle_of_mmap_index_is_refused(self, lexicon_shard):
+        """Ship the shard path (``MmapIndexHandle``), never the index."""
         packed = _attach(lexicon_shard)
         try:
-            clone = pickle.loads(pickle.dumps(packed))
+            with pytest.raises(TypeError, match="from_mmap"):
+                pickle.dumps(packed)
         finally:
             packed.release_shared()
-        assert clone.hypernym_closure(next(iter(lexicon)).id) == \
-            packed.hypernym_closure(next(iter(lexicon)).id)
 
 
 class TestDamagedShards:
@@ -200,7 +201,7 @@ class TestWorkerShipping:
     def test_pool_workers_attach_shard_by_path(
         self, lexicon, lexicon_shard, figure1_xml
     ):
-        """A shard-backed index ships as a path, not an shm payload."""
+        """A shard-backed index ships its own path, no temp shard."""
         docs = [(f"doc-{i}", figure1_xml) for i in range(4)]
         index = _attach(lexicon_shard)
         with BatchExecutor(

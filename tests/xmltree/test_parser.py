@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import xml.parsers.expat
+
 import pytest
 
 from repro.xmltree.errors import XMLSyntaxError
@@ -114,3 +116,39 @@ class TestRealisticDocument:
         cast = picture.find("cast")
         stars = cast.find_all("star")
         assert [s.text() for s in stars] == ["Stewart", "Kelly"]
+
+
+#: Documents the reference parser (expat) rejects as not well-formed:
+#: ``]]>`` in character data and characters outside the XML ``Char``
+#: production, raw or as character references.
+_NON_XML_PROBES = [
+    "<a>x ]]> y</a>",
+    "<a>x\x01y</a>",
+    '<a b="\x02"/>',
+    "<a><!-- \x03 --></a>",
+    "<a><![CDATA[\x04]]></a>",
+    "<a>&#1;</a>",
+]
+
+
+class TestExpatAgreement:
+    @pytest.mark.parametrize("probe", _NON_XML_PROBES)
+    def test_both_parsers_reject(self, probe):
+        with pytest.raises(xml.parsers.expat.ExpatError):
+            xml.parsers.expat.ParserCreate().Parse(probe, True)
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            parse(probe)
+        assert excinfo.value.line == 1 and excinfo.value.column > 0
+
+    @pytest.mark.parametrize("probe", _NON_XML_PROBES)
+    def test_batch_classifies_the_rejection_as_parse(self, lexicon, probe):
+        from repro.runtime import BatchExecutor
+
+        (record,) = BatchExecutor(lexicon).run([("probe", probe)])
+        assert not record.ok
+        assert record.outcome.stage == "parse"
+
+    def test_allowed_controls_and_cdata_close_lookalikes_still_parse(self):
+        document = parse("<a t='x\ty'>1\t2\n3 ]]&gt; ]] ></a>")
+        assert document.root.attributes["t"] == "x\ty"
+        assert document.root.text() == "1\t2\n3 ]]> ]] >"
