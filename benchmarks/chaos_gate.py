@@ -21,8 +21,10 @@ or name a subset: ``executor``, ``kill-resume``, ``bitrot-scrub``):
     ``kill_midbatch`` fault, then re-run with ``--resume``.  The gate
     requires the kill to have actually landed (exit -9/137), the resume
     to replay a non-zero number of journaled documents (non-vacuous),
-    and the resumed output file to be **byte-identical** to an
-    uninterrupted reference run.
+    the resumed output file to be **byte-identical** to an
+    uninterrupted reference run, and no ``repro-index-*`` temp shard to
+    remain in the run's private ``TMPDIR`` (the resume sweeps the one
+    the killed parent could not unlink).
 
 ``bitrot-scrub``
     The self-healing contract on a live daemon: ``repro serve`` attaches
@@ -182,7 +184,8 @@ def gate_kill_resume() -> list[str]:
     env = _batch_env()
     with tempfile.TemporaryDirectory(prefix="repro-killgate-") as tmp:
         # A SIGKILLed batch cannot unlink its temporary index shard;
-        # keep it inside this directory so the gate cleans up after it.
+        # the next batch to write one sweeps it.  A private TMPDIR lets
+        # the gate check that nothing is left behind.
         env["TMPDIR"] = tmp
         doc_dir = os.path.join(tmp, "docs")
         os.makedirs(doc_dir)
@@ -257,12 +260,18 @@ def gate_kill_resume() -> list[str]:
             problems.append(
                 "resumed output DIVERGED from the uninterrupted run"
             )
+        leftovers = sorted(
+            name for name in os.listdir(tmp)
+            if name.startswith("repro-index-")
+        )
+        if leftovers:
+            problems.append(f"temp index shards left behind: {leftovers}")
         if not problems:
             print(
                 f"kill-resume gate passed (seed {CHAOS_SEED}): SIGKILL "
                 f"mid-batch, resume replayed {replayed} + scored {scored} "
                 f"of {len(docs)}, output byte-identical to the "
-                f"uninterrupted run"
+                f"uninterrupted run, no temp shard left"
             )
     return problems
 

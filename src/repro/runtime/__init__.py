@@ -4,13 +4,11 @@ The paper's algorithms (:mod:`repro.core`, :mod:`repro.similarity`)
 describe *what* to compute; this package makes computing it at corpus
 scale cheap and observable without changing a single score:
 
-* :mod:`~repro.runtime.index` — :class:`SemanticIndex`, immutable
-  precomputed taxonomy/IC/gloss tables built once per network and
-  consumed by the similarity measures via ``index=`` (bit-identical
-  fast path);
-* :mod:`~repro.runtime.pack` — :class:`PackedIndex`, the same tables
-  interned to dense integers and flat arrays with packed similarity
-  kernels, serialized in one format (the ``RXPD`` shard);
+* :mod:`~repro.runtime.pack` — :class:`PackedIndex`, immutable
+  precomputed taxonomy/IC/gloss tables built once per network,
+  interned to dense integers and flat arrays, and consumed by the
+  similarity measures via ``index=`` (packed kernels bit-identical to
+  the network walk), serialized in one format (the ``RXPD`` shard);
 * :mod:`~repro.runtime.cache` — :class:`LRUCache`, a bounded pairwise
   memo with hit/miss/eviction counters;
 * :mod:`~repro.runtime.memo` — :class:`SphereMemo`, a bounded LRU of
@@ -67,7 +65,6 @@ Typical use::
 from .cache import LRUCache
 from .executor import BatchDocument, BatchExecutor, BatchRecord
 from .faults import FaultInjector, FaultSpec, InjectedFault
-from .index import SemanticIndex
 from .journal import (
     JournalError,
     JournalReplay,
@@ -129,7 +126,6 @@ __all__ = [
     "RegistryError",
     "RetryPolicy",
     "ScrubTarget",
-    "SemanticIndex",
     "ShardScrubber",
     "SphereMemo",
     "StageTimer",

@@ -4,7 +4,7 @@ One `XSDF` call disambiguates one document; production traffic arrives
 as corpora.  :class:`BatchExecutor` fans a list of documents across a
 ``multiprocessing`` worker pool (with a serial fallback used when
 ``workers <= 1`` or when pools are unavailable, e.g. restricted
-sandboxes), sharing one :class:`repro.runtime.index.SemanticIndex` and
+sandboxes), sharing one :class:`repro.runtime.pack.PackedIndex` and
 one bounded similarity cache per process so repeated taxonomy work is
 amortized across documents.
 
@@ -25,7 +25,8 @@ only document payloads cross the pool boundary.  Within a batch,
 chunks flow through a bounded-queue pipeline that overlaps submission
 with result collection instead of running submit-all/collect-all
 barriers.  ``close()`` (or the GC finalizer) terminates workers and
-unlinks the temporary shard.
+unlinks the temporary shard; a shard left behind by a SIGKILLed parent
+is swept by the next executor that writes one.
 
 Failure is a first-class outcome, not an exception.  Every document
 comes back with a structured :class:`~repro.runtime.resilience
@@ -59,7 +60,6 @@ from ..semnet.network import SemanticNetwork
 from ..xmltree.errors import XMLError
 from .cache import LRUCache
 from .faults import FaultInjector, InjectedFault
-from .index import SemanticIndex
 from .metrics import MetricsRegistry
 from .pack import PackedIndex, PackedIndexError
 from .pool import PersistentPool, auto_workers
@@ -87,6 +87,10 @@ DEFAULT_CACHE_SIZE = 65536
 #: Bound for the per-process document-result cache (full result dicts
 #: are larger than similarity floats, so the bound is tighter).
 DOC_CACHE_SIZE = 1024
+
+#: File-name prefix of an executor's temporary index shard
+#: (``repro-index-<pid>-*.rxpd`` under the temp dir).
+TEMP_SHARD_PREFIX = "repro-index-"
 
 #: Soft cap on the XML payload of one pool chunk.  The default chunk
 #: formula only counts documents; when documents are large, a chunk's
@@ -160,24 +164,24 @@ _WORKER_GENERATION: int = 0
 def _init_worker(
     network: SemanticNetwork,
     config: XSDFConfig,
-    index: "MmapIndexHandle | SemanticIndex | None",
+    index: MmapIndexHandle | None,
     cache_size: int | None,
     injector: FaultInjector | None = None,
     generation: int = 0,
 ) -> None:
     """Install this worker process's XSDF + caches (pool initializer).
 
-    ``index`` arrives pre-built from the parent.  A packed index comes
-    as a :class:`~repro.runtime.store.MmapIndexHandle`: the tables
-    live in an ``RXPD`` shard file, and this worker memory-maps it by
-    path — no payload pickling, no decode, and the pages are shared
-    with the parent *and* every other process mapping the same shard.
-    The attach verifies the body CRC, so a damaged shard (or the
-    ``corrupt-packed`` chaos schedule) degrades this worker to a
-    locally built :class:`SemanticIndex` — one rung down the ladder —
-    instead of killing the pool, and the degradation is surfaced
-    through the worker's stats snapshot.  A dict
-    :class:`SemanticIndex` (``packed=False``) arrives pickled.
+    ``index`` arrives pre-built from the parent as a
+    :class:`~repro.runtime.store.MmapIndexHandle` (or ``None`` for the
+    network walk): the tables live in an ``RXPD`` shard file, and this
+    worker memory-maps it by path — no payload pickling, no decode, and
+    the pages are shared with the parent *and* every other process
+    mapping the same shard.  The attach verifies the body CRC, so a
+    damaged shard (or the ``corrupt-packed`` chaos schedule) degrades
+    this worker to the network walk — the ladder's bottom rung, as when
+    the parent could not write the shard — instead of killing the pool,
+    and the degradation (``packed_decode``) is surfaced through the
+    worker's stats snapshot.
 
     ``generation`` is the persistent pool's spawn counter: snapshots
     are tagged with it so the parent's stats merge stays monotone
@@ -188,17 +192,17 @@ def _init_worker(
     # mutation: it is written once per process, before any task runs.
     global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_INJECTOR, _WORKER_GENERATION  # lint: disable=cache-purity
     decode_degraded = False
-    if isinstance(index, MmapIndexHandle):
+    packed: PackedIndex | None = None
+    if index is not None:
         try:
-            index = PackedIndex.from_mmap(index.path, verify=True)
+            packed = PackedIndex.from_mmap(index.path, verify=True)
         except (PackedIndexError, OSError, ValueError):  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
-            index = SemanticIndex(network)
             decode_degraded = True
-    _WORKER_XSDF = _build_xsdf(network, config, index, cache_size)
+    _WORKER_XSDF = _build_xsdf(network, config, packed, cache_size)
     if decode_degraded:
         _WORKER_XSDF.degrade_stats["packed_decode"] += 1
     _WORKER_DOC_CACHE = (
-        LRUCache(maxsize=DOC_CACHE_SIZE) if index is not None else None
+        LRUCache(maxsize=DOC_CACHE_SIZE) if packed is not None else None
     )
     _WORKER_INJECTOR = injector
     _WORKER_GENERATION = generation
@@ -258,7 +262,7 @@ def _stats_snapshot(xsdf: XSDF) -> dict:
 def _build_xsdf(
     network: SemanticNetwork,
     config: XSDFConfig,
-    index: "PackedIndex | SemanticIndex | None",
+    index: PackedIndex | None,
     cache_size: int | None,
 ) -> XSDF:
     pair_cache = LRUCache(maxsize=cache_size) if index is not None else None
@@ -366,6 +370,36 @@ def _disambiguate_one(
     )
 
 
+def sweep_orphan_shards(
+    directory: str, metrics: MetricsRegistry | None = None
+) -> list[str]:
+    """Unlink ``repro-index-<pid>-*.rxpd`` files whose process is gone.
+
+    Each executor names its temporary shard after the pid that wrote
+    it and unlinks it on :meth:`BatchExecutor.close`; only a parent
+    killed without teardown (SIGKILL) leaves one behind.  A file is
+    removed only when ``os.kill(pid, 0)`` raises
+    ``ProcessLookupError``, so a live process's shard — this one's
+    included — is never touched.  Each removal is a
+    ``temp_shard_swept`` event; returns the removed paths.
+    """
+    removed = []
+    for path in Path(directory).glob(f"{TEMP_SHARD_PREFIX}*-*.rxpd"):
+        pid_text = path.name[len(TEMP_SHARD_PREFIX):].split("-", 1)[0]
+        if not pid_text.isdigit():
+            continue
+        try:
+            os.kill(int(pid_text), 0)
+        except OSError as exc:
+            if not isinstance(exc, ProcessLookupError):
+                continue  # EPERM: alive under another user
+            path.unlink(missing_ok=True)
+            removed.append(str(path))
+            if metrics is not None:
+                metrics.event("temp_shard_swept", path=str(path))
+    return removed
+
+
 def _release_parallel_state(
     pool: PersistentPool | None, temp_shard: str | None
 ) -> None:
@@ -416,14 +450,8 @@ class BatchExecutor:
         default — this is the runtime's raison d'être; disable to
         measure the uncached baseline).  The index is built once in the
         parent and shared: the serial path uses it directly, the
-        parallel path ships it to every worker.
-    packed:
-        Use the interned flat-array :class:`PackedIndex` (default) —
-        faster kernels, shipped to workers as an ``RXPD`` shard path.
-        ``packed=False`` keeps the dict-keyed :class:`SemanticIndex`
-        (the PR 1 runtime, retained for benchmarking and fallback).
-        Scores are bit-identical either way.  Ignored when
-        ``use_index`` is False.
+        parallel path ships it to every worker as an ``RXPD`` shard
+        path.
     cache_size:
         Bound for the pairwise-similarity LRU (``None`` = unbounded).
     metrics:
@@ -465,11 +493,11 @@ class BatchExecutor:
         pool initializer), and may corrupt the temporary index shard
         workers attach.
     index:
-        Optional pre-built :class:`PackedIndex` / :class:`SemanticIndex`
-        over ``network``.  Long-lived callers (the ``repro serve``
-        session pool) build the index once and share it across many
-        executors — per-configuration caches stay private while the
-        heavyweight taxonomy tables are never rebuilt.  Ignored when
+        Optional pre-built :class:`PackedIndex` over ``network``.
+        Long-lived callers (the ``repro serve`` session pool) build the
+        index once and share it across many executors —
+        per-configuration caches stay private while the heavyweight
+        taxonomy tables are never rebuilt.  Ignored when
         ``use_index`` is False.
     oversubscribe:
         Run the requested ``workers`` even beyond the usable-CPU count
@@ -490,7 +518,6 @@ class BatchExecutor:
         workers: int = 1,
         chunk_size: int | None = None,
         use_index: bool = True,
-        packed: bool = True,
         cache_size: int | None = DEFAULT_CACHE_SIZE,
         metrics: MetricsRegistry | None = None,
         max_retries: int = 2,
@@ -499,7 +526,7 @@ class BatchExecutor:
         breaker_threshold: int = 3,
         on_error: str = "skip",
         injector: FaultInjector | None = None,
-        index: "PackedIndex | SemanticIndex | None" = None,
+        index: PackedIndex | None = None,
         oversubscribe: bool = False,
         record_hook: "Callable[[BatchRecord], None] | None" = None,
     ):
@@ -521,7 +548,6 @@ class BatchExecutor:
         self.oversubscribe = oversubscribe
         self.chunk_size = chunk_size
         self.use_index = use_index
-        self.packed = packed
         self.cache_size = cache_size
         self.metrics = metrics
         self.retry = RetryPolicy(
@@ -532,9 +558,7 @@ class BatchExecutor:
         self.on_error = on_error
         self.injector = injector
         self.record_hook = record_hook
-        self._index: "PackedIndex | SemanticIndex | None" = (
-            index if use_index else None
-        )
+        self._index: PackedIndex | None = index if use_index else None
         self._serial_xsdf: XSDF | None = None
         self._doc_cache: LRUCache | None = (
             LRUCache(maxsize=DOC_CACHE_SIZE) if use_index else None
@@ -547,19 +571,16 @@ class BatchExecutor:
         self._finalizer: "weakref.finalize | None" = None
         self._stat_marks: dict[tuple[int, int], dict[str, float]] = {}
 
-    def _ensure_index(self) -> "PackedIndex | SemanticIndex | None":
+    def _ensure_index(self) -> PackedIndex | None:
         """The shared per-executor index, built lazily exactly once."""
         if not self.use_index:
             return None
         if self._index is None:
-            if self.packed:
-                self._index = PackedIndex(self.network)
-            else:
-                self._index = SemanticIndex(self.network)
+            self._index = PackedIndex(self.network)
         return self._index
 
     @property
-    def index(self) -> "PackedIndex | SemanticIndex | None":
+    def index(self) -> PackedIndex | None:
         """The executor's shared index, built on first access.
 
         Exposed so sibling executors (the server's per-configuration
@@ -858,34 +879,45 @@ class BatchExecutor:
         byte_cap = max(1, TARGET_CHUNK_BYTES // mean_doc_bytes)
         return min(count_chunk, byte_cap)
 
-    def _ship_index(self) -> "MmapIndexHandle | SemanticIndex | None":
+    def _ship_index(self) -> MmapIndexHandle | None:
         """The index ticket shipped to workers (chaos may corrupt it).
 
-        A :class:`PackedIndex` always ships as a tiny
+        The index always ships as a tiny
         :class:`~repro.runtime.store.MmapIndexHandle`: workers map the
         ``RXPD`` file by path, sharing pages with the parent and every
         other attaching process.  An index attached from a shard ships
         its own path; a heap-built one is written once to a private
-        ``repro-index-*.rxpd`` temp file that this executor owns until
-        :meth:`close`, and respawned worker generations re-attach it.
-        A ``corrupt-packed`` chaos schedule always writes a temp shard
+        ``repro-index-<pid>-*.rxpd`` temp file that this executor owns
+        until :meth:`close`, and respawned worker generations re-attach
+        it.  Before writing, temp shards whose ``<pid>`` no longer
+        exists are swept (:func:`sweep_orphan_shards`).  A
+        ``corrupt-packed`` chaos schedule always writes a temp shard
         and flips a byte in it — never in a shard it did not write —
         so the workers' verified attach fails with a typed error and
-        they degrade one ladder rung.  If the temp shard cannot be
-        written, a ``pool_fault`` event records it and workers fall
-        back to the network walk (same output, no index).
-        ``packed=False`` ships the dict index by pickle.
+        they fall back to the network walk.  If the temp shard cannot
+        be written, a ``pool_fault`` event records it and workers fall
+        back to the network walk too (same output, no index).
         """
         index = self._ensure_index()
-        if not isinstance(index, PackedIndex):
-            return index
+        if index is None:
+            return None
         injector = self.injector
         corrupting = injector is not None and injector.corrupts_packed
         path = index.shard_path
         if corrupting or path is None or not os.path.isfile(path):
             try:
+                sweep_orphan_shards(tempfile.gettempdir(), self.metrics)
+            except OSError as exc:
+                # Another user's leftover in a sticky temp dir: report
+                # it, then write our own shard regardless.
+                if self.metrics is not None:
+                    self.metrics.event(
+                        "pool_fault", kind="shard_sweep", error=str(exc)
+                    )
+            try:
                 fd, path = tempfile.mkstemp(
-                    prefix="repro-index-", suffix=".rxpd"
+                    prefix=f"{TEMP_SHARD_PREFIX}{os.getpid()}-",
+                    suffix=".rxpd",
                 )
                 os.close(fd)
                 self._temp_shard = path  # owned from here: close() unlinks

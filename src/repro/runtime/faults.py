@@ -21,7 +21,7 @@ Fault kinds:
   ``RXPD`` index shard the executor writes for its pool workers, so
   their verified attach fails with a typed
   :class:`~repro.runtime.pack.PackedIndexError` and each worker
-  degrades one rung down the ladder.
+  falls back to the network walk (``packed_decode``).
 * ``exit`` — kill the worker process mid-document with ``os._exit``
   (the SIGKILL-shaped crash no ``except`` can catch), to exercise the
   persistent pool's respawn-and-requeue path.  In the parent process

@@ -1,11 +1,12 @@
-"""Packed semantic kernels: an interned, flat-array semantic index.
+"""Packed semantic kernels: the interned, flat-array semantic index.
 
-:class:`repro.runtime.index.SemanticIndex` already amortizes taxonomy
-walks, but its tables are string-keyed dicts of dicts: every lookup
-hashes concept-id strings, every gloss comparison equality-tests token
-strings, and pickling the index for a worker pool ships a fat object
-graph.  :class:`PackedIndex` interns concept ids and gloss tokens to
-dense integers and lays the same tables out as flat ``array`` buffers
+Knowledge-based WSD spends most of its time in repeated taxonomy walks:
+hypernym closures, depths, lowest common subsumers, information content
+and gloss token bags are recomputed for the same concepts over and over
+(conceptual-density methods amortize exactly these with precomputed
+taxonomy tables — Agirre & Rigau).  :class:`PackedIndex` performs every
+walk **once** per network, interns concept ids and gloss tokens to
+dense integers, and lays the tables out as flat ``array`` buffers
 (CSR-style offsets + values):
 
 * **ancestor closures** — one ``(concept, distance)`` run per concept,
@@ -20,8 +21,7 @@ The similarity kernels (:meth:`pair_terms` for the edge/node measures,
 directly and are **bit-identical** to the unpacked scores — the parity
 suite in ``tests/similarity`` pins ``==`` equality for all 8 measures.
 The lowest-common-subsumer tie-break is the same total order the
-network and :class:`SemanticIndex` use: ``(depth, -distance-sum,
-concept-id)``.
+network uses: ``(depth, -distance-sum, concept-id)``.
 
 The tables serialize to exactly one format, the ``RXPD`` shard
 (:meth:`to_disk_payload`, written atomically by
@@ -50,7 +50,7 @@ from typing import Any, Iterable
 
 from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork, UnknownConceptError
-from .index import SemanticIndex
+from ..similarity.gloss import GlossTokenMemo, extended_gloss_tokens
 
 _VERSION = 1
 
@@ -97,8 +97,8 @@ class PackedIndexCRCError(PackedIndexError):
 
     Actionable: the payload is the right length but its content was
     altered — a corrupt write, a bad copy, or injected chaos; rebuild
-    the index from the network (the degradation ladder does this
-    automatically one rung down).
+    the index from the network (the degradation ladder falls back to
+    the network walk automatically).
     """
 
 
@@ -301,12 +301,10 @@ def _interned_overlap_score(tokens_a: list[int], tokens_b: list[int]) -> float:
 class PackedIndex:
     """Interned flat-array semantic index, serialized as an RXPD shard.
 
-    A drop-in ``index=`` accelerator: pass it wherever a
-    :class:`~repro.runtime.index.SemanticIndex` is accepted (the
-    similarity measures and :class:`repro.core.framework.XSDF` detect
-    it via the ``is_packed`` marker and route through the packed
-    kernels).  All scores are bit-identical to the dict-index and
-    plain-network paths.
+    The ``index=`` accelerator of the similarity measures and
+    :class:`repro.core.framework.XSDF`: they route through its packed
+    kernels, and every score is bit-identical to the plain network walk
+    (the reference the parity suite compares against).
 
     Parameters
     ----------
@@ -324,10 +322,6 @@ class PackedIndex:
         with ``ic_smoothing=0``) simply omit the table.
     """
 
-    #: Duck-type marker the similarity measures test for (avoids an
-    #: import cycle between ``repro.similarity`` and ``repro.runtime``).
-    is_packed = True
-
     #: Path of the ``RXPD`` shard this index was attached from (set by
     #: :meth:`from_mmap`; ``None`` for heap-built indexes).  The
     #: executor ships this path to pool workers as-is; a heap-built
@@ -342,55 +336,41 @@ class PackedIndex:
         include_ic: bool = True,
     ):
         start = time.perf_counter()
-        index = SemanticIndex(
-            network, include_gloss=include_gloss, ic_smoothing=ic_smoothing
-        )
-        self._load_from_semantic_index(index, include_ic=include_ic)
-        self.build_seconds = time.perf_counter() - start
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_semantic_index(
-        cls, index: SemanticIndex, include_ic: bool = True
-    ) -> "PackedIndex":
-        """Pack an already-built :class:`SemanticIndex` (shares no state)."""
-        start = time.perf_counter()
-        packed = cls.__new__(cls)
-        packed._load_from_semantic_index(index, include_ic=include_ic)
-        packed.build_seconds = time.perf_counter() - start
-        return packed
-
-    def _load_from_semantic_index(
-        self, index: SemanticIndex, include_ic: bool
-    ) -> None:
-        """Intern and flatten one SemanticIndex's tables into arrays."""
-        network = index.network
         ids = tuple(concept.id for concept in network)
         id_of = {cid: i for i, cid in enumerate(ids)}
         n = len(ids)
-        ref_code = _index_typecode(n)
 
+        # Closures in the network's own BFS order; a depth is the
+        # minimal root distance within that closure (the formula of
+        # SemanticNetwork.depth, without walking the closure again).
+        roots = {cid for cid in ids if not network.hypernyms(cid)}
         anc_off = array("I", [0])
-        anc_cid = array(ref_code)
+        anc_cid = array(_index_typecode(n))
         anc_dist = array("I")
-        depths = array("I")
+        depths: list[int] = []
         for cid in ids:
-            closure = index.hypernym_closure(cid)
+            closure = network.hypernym_closure(cid)
             for ancestor, dist in closure.items():
                 anc_cid.append(id_of[ancestor])
                 anc_dist.append(dist)
             anc_off.append(len(anc_cid))
-            depths.append(index.depth(cid))
+            depths.append(min(
+                (dist for ancestor, dist in closure.items()
+                 if ancestor in roots),
+                default=0,
+            ))
 
         tokens: tuple[str, ...] = ()
         gloss_off = gloss_tok = None
-        if index._gloss_bags is not None:
+        if include_gloss:
+            # One memo per build: neighbors' glosses are shared between
+            # bags, so each gloss is tokenized and stemmed once.
+            memo = GlossTokenMemo()
             token_of: dict[str, int] = {}
             flat: list[int] = []
             gloss_off = array("I", [0])
             for cid in ids:
-                for token in index.gloss_bag(cid):
+                for token in extended_gloss_tokens(network, cid, memo=memo):
                     slot = token_of.get(token)
                     if slot is None:
                         slot = len(token_of)
@@ -404,7 +384,7 @@ class PackedIndex:
         max_ic = 1.0
         if include_ic and n:
             try:
-                ic = index.ic
+                ic = InformationContent(network, smoothing=ic_smoothing)
             except ValueError:  # lint: disable=silent-degrade  # no frequency mass -> IC table omitted by design
                 ic = None  # no frequency mass (only when smoothing == 0)
             if ic is not None:
@@ -415,7 +395,7 @@ class PackedIndex:
         self._lazy_blobs: tuple | None = None
         self._ids = ids
         self._id_of = id_of
-        self._depths = depths.tolist()
+        self._depths = depths
         self._anc_off = anc_off
         self._anc_cid = anc_cid
         self._anc_dist = anc_dist
@@ -427,10 +407,11 @@ class PackedIndex:
         self._install_common(
             n=n,
             max_ic=max_ic,
-            max_taxonomy_depth=index.max_taxonomy_depth,
-            ic_smoothing=index._ic_smoothing,
+            max_taxonomy_depth=max(depths, default=1),
+            ic_smoothing=ic_smoothing,
         )
         self._install_derived(n)
+        self.build_seconds = time.perf_counter() - start
 
     def _install_common(
         self,
@@ -563,8 +544,8 @@ class PackedIndex:
         """Scan the smaller closure for the max-key shared ancestor.
 
         The selection key is the total order ``(depth, -distance-sum,
-        concept-id)`` — exactly the tie-break the network and
-        :class:`SemanticIndex` use, so all three paths agree bit-for-bit.
+        concept-id)`` — exactly the tie-break the network uses, so both
+        paths agree bit-for-bit.
         """
         closure_a = self._closure(ia)
         closure_b = self._closure(ib)
@@ -721,7 +702,7 @@ class PackedIndex:
             )
         return ic_list[slot]
 
-    # -- SemanticIndex-compatible query surface -------------------------------
+    # -- network-compatible query surface -------------------------------------
 
     @property
     def has_gloss(self) -> bool:

@@ -93,7 +93,6 @@ class ServerConfig:
     drain_timeout: float = 10.0
     metrics_json: str | None = None
     max_sessions: int = 8
-    packed: bool = True
     cache_size: int = DEFAULT_CACHE_SIZE
     workers: int = 1
     #: RXPD shard to mmap-attach the served index from (skips the
@@ -575,7 +574,6 @@ class ServerApp:
             network,
             config,
             workers=self.server_config.workers,
-            packed=self.server_config.packed,
             cache_size=self.server_config.cache_size,
             metrics=self.metrics if default else None,
             index=index,
@@ -687,7 +685,7 @@ class ServerApp:
             "version": __version__,
             "index": {
                 "fingerprint": self._network_fingerprint,
-                "kind": "packed" if self.server_config.packed else "dict",
+                "kind": "packed" if self._index is not None else None,
                 "concepts": len(self.network),
                 # "mmap" proves the zero-copy shard attach is live,
                 # "heap" an in-process build.

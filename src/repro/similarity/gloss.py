@@ -11,17 +11,14 @@ extended glosses, yielding a [0, 1] measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from ..linguistics.stemmer import stem
 from ..semnet.concepts import Concept
 from ..semnet.network import SemanticNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..runtime.index import SemanticIndex
     from ..runtime.pack import PackedIndex
-
-    AnyIndex = Union[SemanticIndex, PackedIndex]
 
 
 def _ngram_overlap_score(tokens_a: list[str], tokens_b: list[str]) -> float:
@@ -66,7 +63,7 @@ class GlossTokenMemo:
     gloss of each neighbor, and gloss words repeat across concepts — so
     without a memo a build re-tokenizes and re-stems the same glosses
     several times per concept.  The owner (a
-    :class:`~repro.runtime.index.SemanticIndex` build, or one
+    :class:`~repro.runtime.pack.PackedIndex` build, or one
     :class:`ExtendedLeskSimilarity`) holds the memo for as long as it
     builds bags; tokens come out identical to the unmemoized path.
     """
@@ -101,7 +98,7 @@ def extended_gloss_tokens(
     """The (optionally neighbor-extended) gloss token bag of one concept.
 
     Shared between :class:`ExtendedLeskSimilarity` and the precomputed
-    :class:`repro.runtime.index.SemanticIndex` gloss bags, so both paths
+    :class:`repro.runtime.pack.PackedIndex` gloss bags, so both paths
     score from identical token sequences.  Callers building many bags
     pass one ``memo`` so shared glosses are tokenized once.
     """
@@ -131,37 +128,28 @@ class ExtendedLeskSimilarity:
         glosses of its direct neighbors (hypernyms, hyponyms, meronyms,
         ...), the "extended" part of extended Lesk.
     index:
-        Optional :class:`repro.runtime.index.SemanticIndex` whose
-        precomputed gloss bags replace the lazy per-instance token cache
-        (only consulted when ``expand`` matches the index's bags, i.e.
-        ``expand=True``).  Scores are identical either way.  A
-        :class:`repro.runtime.pack.PackedIndex` routes the whole
-        comparison through its interned-token kernel — the same greedy
-        overlap over dense int ids with a disjoint-set quick reject —
-        still bit-identical.
+        Optional :class:`repro.runtime.pack.PackedIndex` whose
+        interned-token kernel runs the whole comparison — the same
+        greedy overlap over dense int ids with a disjoint-set quick
+        reject — bit-identical to the lazy per-instance token path.
+        Only consulted when ``expand`` matches the index's bags, i.e.
+        ``expand=True``.
     """
 
     def __init__(
         self,
         network: SemanticNetwork,
         expand: bool = True,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         self._network = network
         self._expand = expand
-        self._index = index if (index is not None and expand) else None
-        self._packed = (
-            self._index
-            if getattr(self._index, "is_packed", False)
-            else None
-        )
+        self._index = index if expand else None
         self._token_cache: dict[str, list[str]] = {}
         self._count_cache: dict[str, dict[str, int]] = {}
         self._gloss_memo = GlossTokenMemo()
 
     def _extended_gloss(self, concept_id: str) -> list[str]:
-        if self._index is not None:
-            return self._index.gloss_bag(concept_id)
         cached = self._token_cache.get(concept_id)
         if cached is not None:
             return cached
@@ -175,8 +163,8 @@ class ExtendedLeskSimilarity:
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
-        if self._packed is not None:
-            return self._packed.lesk_similarity(a, b)
+        if self._index is not None:
+            return self._index.lesk_similarity(a, b)
         tokens_a = self._extended_gloss(a)
         tokens_b = self._extended_gloss(b)
         if not tokens_a or not tokens_b:
@@ -216,8 +204,8 @@ class ExtendedLeskSimilarity:
         """
         if a == b:
             return 1.0
-        if self._packed is not None:
-            return self._packed.lesk_upper_bound(a, b)
+        if self._index is not None:
+            return self._index.lesk_upper_bound(a, b)
         counts_a = self._token_counts(a)
         counts_b = self._token_counts(b)
         if not counts_a or not counts_b:

@@ -6,14 +6,12 @@ corpus (the weighted network ``SN-bar``).  The paper plugs Lin's measure
 provided for ablations.  All are normalized into [0, 1].
 
 Each accepts an optional precomputed
-:class:`repro.runtime.index.SemanticIndex` (``index=``): IC values stay
+:class:`repro.runtime.pack.PackedIndex` (``index=``): IC values stay
 table lookups either way, but the lowest-common-subsumer query — the
-taxonomy walk dominating these measures — is served from the index's
-memo, with bit-identical results.  A
-:class:`repro.runtime.pack.PackedIndex` (detected via ``is_packed``)
-routes the LCS through the interned pair kernel instead; an explicit
-``ic=`` table is still consulted for the IC values themselves, so
-custom-IC semantics are preserved in packed mode too.
+taxonomy walk dominating these measures — is served from the interned
+pair kernel's memo, with bit-identical results.  An explicit ``ic=``
+table is still consulted for the IC values themselves, so custom-IC
+semantics are preserved with an index too.
 """
 
 from __future__ import annotations
@@ -24,23 +22,23 @@ from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..runtime.index import SemanticIndex
     from ..runtime.pack import PackedIC, PackedIndex
 
     AnyIC = Union[InformationContent, PackedIC]
-    AnyIndex = Union[SemanticIndex, PackedIndex]
 
 
-def _packed_parts(index: object, ic: object) -> tuple:
-    """(packed-index | None, packed-resnik-ok) for one measure.
+def _lcs_ic(index: "PackedIndex", ic: "AnyIC", a: str, b: str) -> float:
+    """IC of the lowest common subsumer via the packed pair kernel.
 
-    ``packed-resnik-ok`` is True when the IC table in use *is* the
-    packed index's own view, so the LCS information content may be read
-    straight from the packed slot instead of re-interning its id string.
+    Reads the packed IC slot directly when ``ic`` *is* the index's own
+    view; a custom table is consulted by concept id.
     """
-    packed = index if getattr(index, "is_packed", False) else None
-    owns_ic = packed is not None and getattr(ic, "_owner", None) is packed
-    return packed, owns_ic
+    terms = index.pair_terms(a, b)
+    if terms is None:
+        return 0.0
+    if getattr(ic, "_owner", None) is index:
+        return index.ic_of_slot(terms[0])
+    return ic.ic(index.concept_id(terms[0]))
 
 
 class LinSimilarity:
@@ -50,43 +48,26 @@ class LinSimilarity:
         self,
         network: SemanticNetwork,
         ic: "AnyIC | None" = None,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         if ic is None:
             ic = index.ic if index is not None else InformationContent(network)
         self._ic = ic
         self._index = index
-        self._packed, self._packed_ic = _packed_parts(index, ic)
 
     def __call__(self, a: str, b: str) -> float:
-        packed = self._packed
-        if packed is not None:
-            # Same arithmetic, LCS from the interned pair kernel.
-            if a == b:
-                return 1.0
-            ic = self._ic
-            denominator = ic.ic(a) + ic.ic(b)
-            if denominator <= 0:
-                return 0.0
-            terms = packed.pair_terms(a, b)
-            if terms is None:
-                resnik = 0.0
-            elif self._packed_ic:
-                resnik = packed.ic_of_slot(terms[0])
-            else:
-                resnik = ic.ic(packed.concept_id(terms[0]))
-            return max(0.0, min(1.0, 2.0 * resnik / denominator))
-        if self._index is None:
+        index = self._index
+        if index is None:
             return self._ic.lin(a, b)
         # Same arithmetic as InformationContent.lin, with the LCS served
-        # from the index memo.
+        # from the interned pair kernel.
         if a == b:
             return 1.0
-        denominator = self._ic.ic(a) + self._ic.ic(b)
+        ic = self._ic
+        denominator = ic.ic(a) + ic.ic(b)
         if denominator <= 0:
             return 0.0
-        lcs = self._index.lowest_common_subsumer(a, b)
-        resnik = 0.0 if lcs is None else self._ic.ic(lcs)
+        resnik = _lcs_ic(index, ic, a, b)
         return max(0.0, min(1.0, 2.0 * resnik / denominator))
 
 
@@ -97,29 +78,19 @@ class ResnikSimilarity:
         self,
         network: SemanticNetwork,
         ic: "AnyIC | None" = None,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         if ic is None:
             ic = index.ic if index is not None else InformationContent(network)
         self._ic = ic
         self._index = index
-        self._packed, self._packed_ic = _packed_parts(index, ic)
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return min(1.0, self._ic.ic(a) / self._ic.max_ic)
-        packed = self._packed
-        if packed is not None:
-            terms = packed.pair_terms(a, b)
-            if terms is None:
-                raw = 0.0
-            elif self._packed_ic:
-                raw = packed.ic_of_slot(terms[0])
-            else:
-                raw = self._ic.ic(packed.concept_id(terms[0]))
-        elif self._index is not None:
-            lcs = self._index.lowest_common_subsumer(a, b)
-            raw = 0.0 if lcs is None else self._ic.ic(lcs)
+        index = self._index
+        if index is not None:
+            raw = _lcs_ic(index, self._ic, a, b)
         else:
             raw = self._ic.resnik(a, b)
         return min(1.0, raw / self._ic.max_ic)
@@ -136,34 +107,21 @@ class JiangConrathSimilarity:
         self,
         network: SemanticNetwork,
         ic: "AnyIC | None" = None,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         if ic is None:
             ic = index.ic if index is not None else InformationContent(network)
         self._ic = ic
         self._index = index
-        self._packed, self._packed_ic = _packed_parts(index, ic)
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
-        packed = self._packed
-        if packed is not None:
+        index = self._index
+        if index is not None:
             ic = self._ic
-            terms = packed.pair_terms(a, b)
-            if terms is None:
-                resnik = 0.0
-            elif self._packed_ic:
-                resnik = packed.ic_of_slot(terms[0])
-            else:
-                resnik = ic.ic(packed.concept_id(terms[0]))
+            resnik = _lcs_ic(index, ic, a, b)
             distance = max(0.0, ic.ic(a) + ic.ic(b) - 2.0 * resnik)
-        elif self._index is not None:
-            lcs = self._index.lowest_common_subsumer(a, b)
-            resnik = 0.0 if lcs is None else self._ic.ic(lcs)
-            distance = max(
-                0.0, self._ic.ic(a) + self._ic.ic(b) - 2.0 * resnik
-            )
         else:
             distance = self._ic.jiang_conrath_distance(a, b)
         bound = 2.0 * self._ic.max_ic

@@ -15,6 +15,7 @@ from .errors import (
     ValidationError,
     XMLEntityError,
     XMLError,
+    XMLLimitError,
     XMLSyntaxError,
 )
 from .lexer import Token, TokenType, XMLLexer, tokenize
@@ -40,6 +41,7 @@ __all__ = [
     "XMLEntityError",
     "XMLError",
     "XMLLexer",
+    "XMLLimitError",
     "XMLNode",
     "XMLParser",
     "XMLSyntaxError",

@@ -31,6 +31,15 @@ class XMLEntityError(XMLSyntaxError):
     """Raised for undefined or malformed entity references."""
 
 
+class XMLLimitError(XMLSyntaxError):
+    """Raised when a document exceeds a fixed parser limit.
+
+    The input may be well-formed, but it is refused (e.g. elements
+    nested deeper than :data:`repro.xmltree.parser.MAX_DEPTH`) so that
+    untrusted input can never reach the interpreter's recursion limit.
+    """
+
+
 class DTDError(XMLError):
     """Raised when a DTD declaration cannot be parsed."""
 

@@ -10,8 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import XMLSyntaxError
+from .errors import XMLLimitError, XMLSyntaxError
 from .lexer import Token, TokenType, XMLLexer
+
+#: Deepest element nesting the parser accepts.  The parser (and the
+#: tree builder after it) recurse once per level, so without a bound a
+#: ~1,000-deep document — a few KB — hits the interpreter's recursion
+#: limit; deeper input is refused with a positioned XMLLimitError.
+MAX_DEPTH = 512
 
 
 @dataclass
@@ -74,7 +80,8 @@ class XMLParser:
     The parser validates tag nesting/matching, rejects content outside the
     root element, and drops comments (they carry no tree information).
     Whitespace-only text between elements is discarded; mixed content text
-    is preserved verbatim.
+    is preserved verbatim.  Elements nested deeper than :data:`MAX_DEPTH`
+    raise :class:`~repro.xmltree.errors.XMLLimitError`.
     """
 
     def __init__(self, source: str):
@@ -130,8 +137,15 @@ class XMLParser:
             raise XMLSyntaxError("document has no root element")
         return Document(root=root, doctype=doctype, processing_instructions=pis)
 
-    def _parse_element(self) -> Element:
+    def _parse_element(self, depth: int = 1) -> Element:
         token = self._advance()
+        if depth > MAX_DEPTH:
+            raise XMLLimitError(
+                f"element <{token.value}> nested deeper than "
+                f"{MAX_DEPTH} levels",
+                token.line,
+                token.column,
+            )
         element = Element(name=token.value, attributes=dict(token.attributes))
         if token.type is TokenType.EMPTY_TAG:
             return element
@@ -154,7 +168,7 @@ class XMLParser:
                     current.column,
                 )
             if current.type in (TokenType.START_TAG, TokenType.EMPTY_TAG):
-                element.children.append(self._parse_element())
+                element.children.append(self._parse_element(depth + 1))
             elif current.type is TokenType.TEXT:
                 if current.value.strip():
                     element.children.append(Text(current.value))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_test_corpus
-from repro.runtime import SemanticIndex
+from repro.runtime import PackedIndex
 from repro.semnet.generator import GeneratorConfig, generate_network
 
 
@@ -25,5 +25,5 @@ def synthetic_network():
 
 @pytest.fixture(scope="session")
 def lexicon_index(lexicon):
-    """A SemanticIndex over the curated lexicon (shared, read-only)."""
-    return SemanticIndex(lexicon)
+    """A PackedIndex over the curated lexicon (shared, read-only)."""
+    return PackedIndex(lexicon)

@@ -1,9 +1,10 @@
-"""SemanticIndex correctness: indexed paths must be bit-identical.
+"""PackedIndex as an ``index=`` accelerator: bit-identical to the walk.
 
 The index is a pure accelerator — every query it serves and every
 similarity score computed through it must *equal* (``==``, not
 approximately) the value the uncached network walk produces, on both
-the curated lexicon and a synthetic generated network.
+the curated lexicon and a synthetic generated network.  (Codec,
+shard and kernel-level checks live in ``test_pack.py``.)
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import random
 
 import pytest
 
-from repro.runtime import LRUCache, SemanticIndex
-from repro.runtime.index import SemanticIndex as _SemanticIndex
+from repro.runtime import LRUCache, PackedIndex
 from repro.semnet.ic import InformationContent
 from repro.semnet.network import UnknownConceptError
 from repro.similarity.combined import CombinedSimilarity, SimilarityWeights
@@ -87,7 +87,7 @@ class TestIndexedSimilarityIdentity:
         )
 
     def test_synthetic_network(self, synthetic_network):
-        index = SemanticIndex(synthetic_network)
+        index = PackedIndex(synthetic_network)
         _assert_identical_measures(
             synthetic_network, index, _sample_pairs(synthetic_network, seed=1)
         )
@@ -149,35 +149,40 @@ class TestIndexQueries:
             lexicon_index.gloss_bag("no.such.concept")
 
     def test_gloss_disabled_index(self, synthetic_network):
-        index = _SemanticIndex(synthetic_network, include_gloss=False)
+        index = PackedIndex(synthetic_network, include_gloss=False)
         some_id = next(iter(synthetic_network)).id
         with pytest.raises(RuntimeError):
             index.gloss_bag(some_id)
-        assert index.stats()["gloss_bags"] == 0
+        with pytest.raises(RuntimeError):
+            index.lesk_similarity(some_id, some_id + "x")
+        assert not index.has_gloss
+        assert index.stats()["gloss_tokens"] == 0
+        # Taxonomy and IC tables are unaffected.
+        assert index.depth(some_id) == synthetic_network.depth(some_id)
 
     def test_stats_shape(self, lexicon, lexicon_index):
         stats = lexicon_index.stats()
         assert stats["concepts"] == len(lexicon)
-        assert stats["gloss_bags"] == len(lexicon)
+        assert stats["gloss_tokens"] > 0
         assert stats["ancestor_entries"] > stats["concepts"]
         assert stats["build_seconds"] >= 0
         # Counts are ints; build_seconds is a float and backing a
-        # string.  The LCS memo is observable.
+        # string.  The pair-kernel memo is observable.
         assert stats["backing"] == "heap"
         for key, value in stats.items():
             if key not in ("build_seconds", "backing"):
                 assert isinstance(value, int), key
-        assert stats["lcs_memo_hits"] + stats["lcs_memo_misses"] >= 0
+        assert stats["pair_memo_hits"] + stats["pair_memo_misses"] >= 0
 
     def test_lcs_memo_counters_track_lookups(self, lexicon):
-        index = SemanticIndex(lexicon, include_gloss=False)
+        index = PackedIndex(lexicon, include_gloss=False)
         ids = [concept.id for concept in lexicon]
         a, b = ids[10], ids[20]
         index.lowest_common_subsumer(a, b)
         index.lowest_common_subsumer(a, b)
         stats = index.stats()
-        assert stats["lcs_memo_misses"] == 1
-        assert stats["lcs_memo_hits"] == 1
+        assert stats["pair_memo_misses"] == 1
+        assert stats["pair_memo_hits"] == 1
 
 
 class TestGlossBuildMemo:
@@ -196,13 +201,13 @@ class TestGlossBuildMemo:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(Concept, "gloss_tokens", counting)
-        SemanticIndex(lexicon)
+        PackedIndex(lexicon)
         assert len(calls) == len(set(calls)) <= len(lexicon)
 
     def test_memoized_bags_equal_unmemoized(self, lexicon):
         from repro.linguistics.stemmer import stem
 
-        index = SemanticIndex(lexicon)
+        index = PackedIndex(lexicon)
         for concept in lexicon:
             expected = concept.gloss_tokens()
             for word in concept.words:

@@ -4,8 +4,8 @@ Three contracts are pinned here:
 
 * **query parity** — every query the packed index serves (closures,
   depths, LCS, taxonomic distance, gloss bags, IC, the Lesk kernel)
-  must ``==`` the :class:`SemanticIndex` / network-walk value, on the
-  curated lexicon and on random synthetic networks;
+  must ``==`` the network-walk value, on the curated lexicon and on
+  random synthetic networks;
 * **codec round-trip** — ``write_shard`` → ``from_mmap(verify=True)``
   reproduces every table exactly, and truncated/corrupted/foreign
   ``RXPD`` bytes raise :class:`PackedIndexError` instead of
@@ -27,12 +27,16 @@ from repro.runtime import (
     PackedIndexCRCError,
     PackedIndexError,
     PackedIndexTruncatedError,
-    SemanticIndex,
     write_shard,
 )
 from repro.semnet.generator import GeneratorConfig, generate_network
+from repro.semnet.ic import InformationContent
 from repro.semnet.network import UnknownConceptError
-from repro.similarity.gloss import ExtendedLeskSimilarity
+from repro.similarity.gloss import (
+    ExtendedLeskSimilarity,
+    GlossTokenMemo,
+    extended_gloss_tokens,
+)
 
 
 def _sample_pairs(network, n_pairs=150, seed=0):
@@ -46,19 +50,22 @@ def _sample_pairs(network, n_pairs=150, seed=0):
     return pairs
 
 
-def _assert_query_parity(network, index, packed, pairs):
-    """Every packed query must equal the dict-index answer exactly."""
+def _assert_query_parity(network, packed, pairs):
+    """Every packed query must equal the network walk's answer exactly."""
+    ic = InformationContent(network)
+    memo = GlossTokenMemo()
     for a, b in pairs:
-        assert packed.hypernym_closure(a) == index.hypernym_closure(a)
-        assert packed.depth(a) == index.depth(a)
+        assert packed.hypernym_closure(a) == network.hypernym_closure(a)
+        assert packed.depth(a) == network.depth(a)
         assert packed.lowest_common_subsumer(a, b) == \
-            index.lowest_common_subsumer(a, b), (a, b)
+            network.lowest_common_subsumer(a, b), (a, b)
         assert packed.taxonomic_distance(a, b) == \
-            index.taxonomic_distance(a, b), (a, b)
-        assert packed.gloss_bag(a) == index.gloss_bag(a)
-        assert packed.ic.ic(a) == index.ic.ic(a)
-    assert packed.ic.max_ic == index.ic.max_ic
-    assert packed.max_taxonomy_depth == index.max_taxonomy_depth
+            network.taxonomic_distance(a, b), (a, b)
+        assert packed.gloss_bag(a) == \
+            extended_gloss_tokens(network, a, memo=memo)
+        assert packed.ic.ic(a) == ic.ic(a)
+    assert packed.ic.max_ic == ic.max_ic
+    assert packed.max_taxonomy_depth == network.max_taxonomy_depth
 
 
 def _attach_bytes(directory, blob, name="shard.rxpd"):
@@ -82,23 +89,18 @@ def packed_lexicon(lexicon):
 
 
 class TestQueryParity:
-    def test_curated_lexicon_queries_match_dict_index(
-        self, lexicon, lexicon_index, packed_lexicon
+    def test_curated_lexicon_queries_match_network(
+        self, lexicon, packed_lexicon
     ):
-        _assert_query_parity(
-            lexicon, lexicon_index, packed_lexicon, _sample_pairs(lexicon)
-        )
+        _assert_query_parity(lexicon, packed_lexicon, _sample_pairs(lexicon))
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_synthetic_network_queries_match_dict_index(self, seed):
+    def test_synthetic_network_queries_match_network(self, seed):
         network = generate_network(
             GeneratorConfig(n_concepts=120, mean_polysemy=2.0, seed=seed)
         )
-        index = SemanticIndex(network)
         packed = PackedIndex(network)
-        _assert_query_parity(
-            network, index, packed, _sample_pairs(network, seed=seed)
-        )
+        _assert_query_parity(network, packed, _sample_pairs(network, seed=seed))
 
     def test_lesk_kernel_matches_unpacked_measure(
         self, lexicon, packed_lexicon
@@ -108,12 +110,6 @@ class TestQueryParity:
         for a, b in _sample_pairs(lexicon, n_pairs=60, seed=4):
             assert packed_lexicon.lesk_similarity(a, b) == unpacked(a, b), \
                 (a, b)
-
-    def test_from_semantic_index_equals_direct_build(self, lexicon):
-        index = SemanticIndex(lexicon)
-        via_index = PackedIndex.from_semantic_index(index)
-        direct = PackedIndex(lexicon)
-        assert via_index.to_disk_payload() == direct.to_disk_payload()
 
     def test_unknown_concept_raises(self, packed_lexicon):
         with pytest.raises(UnknownConceptError):
@@ -142,9 +138,7 @@ class TestCodec:
     ):
         clone = _round_trip(tmp_path, packed_lexicon)
         assert clone.backing == "mmap"
-        _assert_query_parity(
-            lexicon, packed_lexicon, clone, _sample_pairs(lexicon, seed=1)
-        )
+        _assert_query_parity(lexicon, clone, _sample_pairs(lexicon, seed=1))
         # The attached tables re-serialize to the identical shard.
         assert clone.to_disk_payload() == packed_lexicon.to_disk_payload()
         clone.release_shared()

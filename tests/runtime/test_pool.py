@@ -37,6 +37,14 @@ from repro.runtime import (
     parse_workers,
     write_shard,
 )
+from repro.runtime.executor import sweep_orphan_shards
+
+
+def _dead_pid() -> int:
+    """The pid of a child that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 @pytest.fixture()
@@ -230,6 +238,46 @@ class TestTempShardHygiene:
         index.release_shared()
         assert stats["shard_bytes"] == os.path.getsize(shard)
         assert shard.exists()  # close() never unlinks a shard it did not write
+
+    def test_temp_shard_is_named_after_the_parent_pid(
+        self, lexicon, figure1_xml, private_tmp
+    ):
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+        ) as executor:
+            executor.run([(f"doc-{i}", figure1_xml) for i in range(3)])
+            (name,) = private_tmp()
+        assert name.startswith(f"repro-index-{os.getpid()}-")
+
+    def test_sweep_unlinks_a_dead_pids_shard(self, tmp_path):
+        orphan = tmp_path / f"repro-index-{_dead_pid()}-abc.rxpd"
+        orphan.write_bytes(b"RXPD")
+        assert sweep_orphan_shards(str(tmp_path)) == [str(orphan)]
+        assert not orphan.exists()
+
+    def test_sweep_keeps_a_live_pids_shard(self, tmp_path):
+        live = tmp_path / f"repro-index-{os.getpid()}-abc.rxpd"
+        live.write_bytes(b"RXPD")
+        unrelated = tmp_path / "repro-index-notapid-abc.rxpd"
+        unrelated.write_bytes(b"RXPD")
+        assert sweep_orphan_shards(str(tmp_path)) == []
+        assert live.exists() and unrelated.exists()
+
+    def test_shipping_sweeps_orphans_before_writing(
+        self, lexicon, figure1_xml, private_tmp, tmp_path
+    ):
+        """A SIGKILLed parent's leftover is swept by the next executor."""
+        orphan = tmp_path / f"repro-index-{_dead_pid()}-old.rxpd"
+        orphan.write_bytes(b"RXPD")
+        live = tmp_path / f"repro-index-{os.getppid()}-live.rxpd"
+        live.write_bytes(b"RXPD")
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+        ) as executor:
+            executor.run([(f"doc-{i}", figure1_xml) for i in range(3)])
+            assert not orphan.exists()
+            assert len(private_tmp()) == 2  # the live file + our own
+        assert private_tmp() == [live.name]
 
 
 class TestWorkerCrashRecovery:

@@ -344,7 +344,7 @@ class TestDocTimeout:
 class TestDegradationLadder:
     """Each rung swap is bit-identical; only counters and rung change."""
 
-    def test_packed_kernel_fault_downgrades_to_dict_rung(
+    def test_packed_kernel_fault_drops_to_network_rung(
         self, lexicon, figure1_xml
     ):
         baseline = XSDF(lexicon, XSDFConfig()).disambiguate_document(
@@ -355,12 +355,13 @@ class TestDegradationLadder:
         xsdf = XSDF(lexicon, XSDFConfig(), index=faulty, metrics=metrics)
         assert xsdf.index_rung == "packed"
         result = xsdf.disambiguate_document(figure1_xml)
-        assert xsdf.index_rung == "dict"
+        assert xsdf.index_rung == "network"
+        assert xsdf.index is None
         assert xsdf.degrade_stats["index_downgrades"] == 1
         assert result.to_dict() == baseline.to_dict()
         (event,) = metrics.events("degrade")
         assert event["kind"] == "index_downgrade"
-        assert event["rung"] == "dict"
+        assert event["rung"] == "network"
 
     def test_ladder_walks_all_the_way_to_the_network(
         self, lexicon, figure1_xml
@@ -369,8 +370,7 @@ class TestDegradationLadder:
             figure1_xml
         )
         xsdf = XSDF(lexicon, XSDFConfig(), index=PackedIndex(lexicon))
-        assert xsdf._downgrade_index()
-        assert xsdf.index_rung == "dict"
+        assert xsdf.index_rung == "packed"
         assert xsdf._downgrade_index()
         assert xsdf.index_rung == "network"
         assert not xsdf._downgrade_index()  # bottom of the ladder

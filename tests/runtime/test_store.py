@@ -31,7 +31,6 @@ from repro.runtime import (
     PackedIndexCRCError,
     PackedIndexError,
     PackedIndexTruncatedError,
-    SemanticIndex,
     NetworkRegistry,
     RegistryError,
     read_shard_header,
@@ -59,7 +58,7 @@ def _attach(path, **kwargs):
 
 class TestShardRoundTrip:
     def test_mmap_attach_reproduces_every_query(
-        self, lexicon, lexicon_index, lexicon_shard
+        self, lexicon, lexicon_shard
     ):
         packed = _attach(lexicon_shard)
         try:
@@ -67,7 +66,7 @@ class TestShardRoundTrip:
             assert packed.shard_path == lexicon_shard
             assert len(packed) == len(lexicon)
             pairs = _sample_pairs(lexicon)
-            _assert_query_parity(lexicon, lexicon_index, packed, pairs)
+            _assert_query_parity(lexicon, packed, pairs)
         finally:
             packed.release_shared()
 
@@ -107,13 +106,13 @@ class TestShardRoundTrip:
         assert stats["shard_bytes"] == os.path.getsize(lexicon_shard)
 
     def test_release_shared_materializes_to_heap(
-        self, lexicon, lexicon_index, lexicon_shard
+        self, lexicon, lexicon_shard
     ):
         packed = _attach(lexicon_shard)
         packed.release_shared()
         assert packed.backing == "heap"
         pairs = _sample_pairs(lexicon, n_pairs=40)
-        _assert_query_parity(lexicon, lexicon_index, packed, pairs)
+        _assert_query_parity(lexicon, packed, pairs)
 
     def test_pickle_of_mmap_index_is_refused(self, lexicon_shard):
         """Ship the shard path (``MmapIndexHandle``), never the index."""
@@ -180,18 +179,20 @@ class TestDamagedShards:
 
 
 class TestResilienceLadder:
-    def test_mmap_packed_dict_batches_are_bit_identical(
+    def test_mmap_packed_network_batches_are_bit_identical(
         self, lexicon, lexicon_shard, figure1_xml
     ):
         """Every rung of the ladder yields the same JSONL bytes."""
         docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
         outputs = []
-        for index in (
-            _attach(lexicon_shard),          # mmap shard
-            PackedIndex(lexicon),            # in-memory packed
-            SemanticIndex(lexicon),          # dict-keyed
+        for use_index, index in (
+            (True, _attach(lexicon_shard)),  # mmap shard
+            (True, PackedIndex(lexicon)),    # in-memory packed
+            (False, None),                   # network walk
         ):
-            with BatchExecutor(lexicon, index=index) as executor:
+            with BatchExecutor(
+                lexicon, use_index=use_index, index=index
+            ) as executor:
                 records = executor.run(docs)
             outputs.append([r.to_json_line() for r in records])
         assert outputs[0] == outputs[1] == outputs[2]

@@ -195,6 +195,39 @@ class TestDisambiguate:
         assert envelope["envelope"]["status"] == "failed"
         assert envelope["envelope"]["error_type"]
 
+    @pytest.mark.parametrize("depth", [1_500, 100_000])
+    def test_deep_nesting_is_a_parse_stage_failure(self, make_app, depth):
+        # 100k levels is ~700 KB, still under the 1 MiB body limit.
+        xml = "<a>" * depth + "x" + "</a>" * depth
+
+        async def go():
+            async with running(make_app()) as server:
+                return await request(server, post(
+                    "/v1/disambiguate", xml.encode("utf-8"),
+                    content_type="application/xml",
+                    headers=(("X-Repro-Name", "deep"),),
+                ))
+
+        response = run(go())
+        assert response.status == 422
+        record, envelope = response.ndjson()[-2:]
+        assert record["ok"] is False
+        assert envelope["envelope"]["stage"] == "parse"
+        assert envelope["envelope"]["error_type"] == "XMLLimitError"
+
+    def test_max_depth_document_disambiguates(self, make_app):
+        from repro.xmltree.parser import MAX_DEPTH
+
+        xml = "<movie>" * MAX_DEPTH + "cast" + "</movie>" * MAX_DEPTH
+
+        async def go():
+            async with running(make_app()) as server:
+                return await request(server, disambiguate(xml, name="deep"))
+
+        response = run(go())
+        assert response.status == 200
+        assert response.ndjson()[-2]["ok"] is True
+
     def test_malformed_json_envelope_is_400(self, make_app):
         async def go():
             async with running(make_app()) as server:

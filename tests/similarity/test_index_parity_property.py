@@ -9,10 +9,9 @@ and ``combined`` expose the ``index=`` fast path directly;
 ``vector`` has none (its inputs are plain mappings), which a signature
 test pins so a future fast path cannot dodge this battery.
 
-Each measure is exercised in **both** accelerated modes: the dict-keyed
-:class:`SemanticIndex` and the interned flat-array
-:class:`~repro.runtime.pack.PackedIndex` — three-way bit-identity
-(network walk == dict index == packed kernels) on every sampled pair.
+Each measure is exercised with the interned flat-array
+:class:`~repro.runtime.pack.PackedIndex` — bit-identity (network walk
+== packed kernels) on every sampled pair.
 :class:`TestDocumentParity` lifts the contract to whole documents:
 the interned scorer over the packed index against the per-occurrence
 network-walk oracle.
@@ -28,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import DisambiguationApproach, XSDFConfig
 from repro.core.framework import XSDF
-from repro.runtime import PackedIndex, SemanticIndex
+from repro.runtime import PackedIndex
 from repro.runtime.pack import PackedIndexCRCError
 from repro.semnet.generator import GeneratorConfig, generate_network
 from repro.semnet.ic import InformationContent
@@ -51,7 +50,7 @@ from tests.core._oracle import (
     random_document,
 )
 
-#: (network, index, packed, ic) per generator shape — hypothesis
+#: (network, packed, ic) per generator shape — hypothesis
 #: revisits shapes across examples, and network construction dominates
 #: runtime.
 _NETWORK_CACHE: dict[tuple, tuple] = {}
@@ -75,11 +74,9 @@ def _network_index_ic(shape):
             mean_polysemy=polysemy,
             seed=seed,
         ))
-        index = SemanticIndex(network)
         _NETWORK_CACHE[shape] = (
             network,
-            index,
-            PackedIndex.from_semantic_index(index),
+            PackedIndex(network),
             InformationContent(network),
         )
     return _NETWORK_CACHE[shape]
@@ -96,32 +93,24 @@ def _sample_pairs(network, seed, n_random=25):
     return pairs
 
 
-def _measure_triples(network, index, packed, ic, weights=None):
-    """(slow, dict-fast, packed-fast) per index-accepting measure."""
+def _measure_pairs(network, packed, ic, weights=None):
+    """(slow, packed-fast) per index-accepting measure."""
     return [
         (WuPalmerSimilarity(network),
-         WuPalmerSimilarity(network, index=index),
          WuPalmerSimilarity(network, index=packed)),
         (PathSimilarity(network),
-         PathSimilarity(network, index=index),
          PathSimilarity(network, index=packed)),
         (LeacockChodorowSimilarity(network),
-         LeacockChodorowSimilarity(network, index=index),
          LeacockChodorowSimilarity(network, index=packed)),
         (LinSimilarity(network, ic=ic),
-         LinSimilarity(network, ic=ic, index=index),
          LinSimilarity(network, ic=ic, index=packed)),
         (ResnikSimilarity(network, ic=ic),
-         ResnikSimilarity(network, ic=ic, index=index),
          ResnikSimilarity(network, ic=ic, index=packed)),
         (JiangConrathSimilarity(network, ic=ic),
-         JiangConrathSimilarity(network, ic=ic, index=index),
          JiangConrathSimilarity(network, ic=ic, index=packed)),
         (ExtendedLeskSimilarity(network),
-         ExtendedLeskSimilarity(network, index=index),
          ExtendedLeskSimilarity(network, index=packed)),
         (CombinedSimilarity(network, ic=ic, weights=weights),
-         CombinedSimilarity(network, ic=ic, weights=weights, index=index),
          CombinedSimilarity(network, ic=ic, weights=weights, index=packed)),
     ]
 
@@ -134,18 +123,12 @@ class TestIndexParityProperty:
     )
     @given(shape=network_shapes, pair_seed=st.integers(0, 2**16))
     def test_every_measure_is_bit_identical(self, shape, pair_seed):
-        """Indexed and packed scores must ``==`` unindexed ones."""
-        network, index, packed, ic = _network_index_ic(shape)
+        """Packed-index scores must ``==`` unindexed ones."""
+        network, packed, ic = _network_index_ic(shape)
         pairs = _sample_pairs(network, pair_seed)
-        for slow, fast, fast_packed in _measure_triples(
-            network, index, packed, ic
-        ):
+        for slow, fast_packed in _measure_pairs(network, packed, ic):
             for a, b in pairs:
                 expected = slow(a, b)
-                assert expected == fast(a, b), (
-                    f"{type(slow).__name__} (dict index) diverges on "
-                    f"({a}, {b}) for network shape {shape}"
-                )
                 assert expected == fast_packed(a, b), (
                     f"{type(slow).__name__} (packed index) diverges on "
                     f"({a}, {b}) for network shape {shape}"
@@ -167,19 +150,14 @@ class TestIndexParityProperty:
         self, shape, pair_seed, mix
     ):
         """The Definition 9 combination keeps parity for any weights."""
-        network, index, packed, ic = _network_index_ic(shape)
+        network, packed, ic = _network_index_ic(shape)
         weights = SimilarityWeights(*mix)
         slow = CombinedSimilarity(network, ic=ic, weights=weights)
-        fast = CombinedSimilarity(
-            network, ic=ic, weights=weights, index=index
-        )
         fast_packed = CombinedSimilarity(
             network, ic=ic, weights=weights, index=packed
         )
         for a, b in _sample_pairs(network, pair_seed, n_random=12):
-            expected = slow(a, b)
-            assert expected == fast(a, b)
-            assert expected == fast_packed(a, b)
+            assert slow(a, b) == fast_packed(a, b)
 
     def test_vector_module_has_no_index_fast_path(self):
         """``repro.similarity.vector`` takes no ``index=`` — if one is
@@ -237,7 +215,7 @@ class TestDocumentParity:
     def test_packed_document_equals_network_walk_oracle(
         self, shape, doc_seed, approach, measure, strip, policy, memo
     ):
-        network, _, packed, ic = _network_index_ic(shape)
+        network, packed, ic = _network_index_ic(shape)
         # Exhaustive scoring queries pairs in the oracle's order, so
         # both sides see the same value for extended Lesk's asymmetric
         # pairs without sharing a pair cache.
@@ -273,7 +251,7 @@ class TestDocumentParity:
     def test_index_downgrade_mid_document_keeps_oracle_parity(
         self, shape, doc_seed, fault_seed, prune
     ):
-        network, _, packed, ic = _network_index_ic(shape)
+        network, packed, ic = _network_index_ic(shape)
         config = XSDFConfig(prune=prune, memo=prune)
         xml = random_document(network, doc_seed, compounds=True)
         # One shared pair cache, oracle first: pruning reorders pair
@@ -297,11 +275,14 @@ class TestDocumentParity:
         result = xsdf.disambiguate_document(xml)
         context = f"shape={shape} doc_seed={doc_seed} prune={prune}"
         if counter._calls:
-            assert xsdf.index_rung == "dict", context
+            assert xsdf.index_rung == "network", context
             assert xsdf.degrade_stats["index_downgrades"] == 1, context
         assert_matches_oracle(result, expected, context)
-        # The warm intern tables and rows carry over one rung down.
-        assert xsdf._downgrade_index()
+        # The warm intern tables and rows carry over to the network walk.
+        if xsdf.index is not None:
+            assert xsdf._downgrade_index()
+        assert xsdf.index_rung == "network"
+        assert not xsdf._downgrade_index()  # bottom of the ladder
         xml2 = random_document(network, doc_seed + 1, compounds=True)
         assert_matches_oracle(
             xsdf.disambiguate_document(xml2),

@@ -113,23 +113,36 @@ class TestBatch:
         with pytest.raises(SystemExit):
             run(["batch", "/nonexistent/*.xml"])
 
-    def test_batch_dict_index_is_byte_identical(self, tmp_path, figure1_xml):
+    def test_batch_no_index_is_byte_identical(self, tmp_path, figure1_xml):
         for i in range(2):
             (tmp_path / f"doc-{i}.xml").write_text(
                 figure1_xml, encoding="utf-8"
             )
         packed_out = tmp_path / "packed.jsonl"
-        dict_out = tmp_path / "dict.jsonl"
+        walk_out = tmp_path / "walk.jsonl"
         code, _ = run([
             "batch", str(tmp_path / "*.xml"), "--out", str(packed_out),
         ])
         assert code == 0
         code, _ = run([
-            "batch", str(tmp_path / "*.xml"), "--out", str(dict_out),
-            "--dict-index",
+            "batch", str(tmp_path / "*.xml"), "--out", str(walk_out),
+            "--no-index",
         ])
         assert code == 0
-        assert packed_out.read_bytes() == dict_out.read_bytes()
+        assert packed_out.read_bytes() == walk_out.read_bytes()
+
+    def test_batch_reports_deep_nesting_at_the_parse_stage(self, tmp_path):
+        depth = 1_500
+        (tmp_path / "deep.xml").write_text(
+            "<a>" * depth + "x" + "</a>" * depth, encoding="utf-8"
+        )
+        out_path = tmp_path / "results.jsonl"
+        code, output = run([
+            "batch", str(tmp_path / "*.xml"), "--out", str(out_path),
+        ])
+        assert code == 1
+        assert "XMLLimitError" in output
+        assert "[stage=parse, attempts=1]" in output
 
     def test_batch_profile_prints_summary(self, tmp_path, figure1_xml):
         (tmp_path / "doc.xml").write_text(figure1_xml, encoding="utf-8")
@@ -556,7 +569,7 @@ class TestPackAndStore:
             ["batch", xml_file, "--domain", "x"],
             ["batch", xml_file, "--shard", "s.rxpd"],
             ["batch", xml_file, "--shard", "s.rxpd", "--network", "n.json",
-             "--dict-index"],
+             "--no-index"],
         ):
             with pytest.raises(SystemExit):
                 run(argv)

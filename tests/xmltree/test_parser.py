@@ -6,8 +6,13 @@ import xml.parsers.expat
 
 import pytest
 
-from repro.xmltree.errors import XMLSyntaxError
-from repro.xmltree.parser import Document, Element, Text, parse
+from repro.xmltree.errors import XMLLimitError, XMLSyntaxError
+from repro.xmltree.parser import MAX_DEPTH, Document, Element, Text, parse
+
+
+def _nested(depth: int, tag: str = "a", text: str = "x") -> str:
+    """``depth`` nested ``<tag>`` elements around one text node."""
+    return f"<{tag}>" * depth + text + f"</{tag}>" * depth
 
 
 class TestWellFormedDocuments:
@@ -152,3 +157,42 @@ class TestExpatAgreement:
         document = parse("<a t='x\ty'>1\t2\n3 ]]&gt; ]] ></a>")
         assert document.root.attributes["t"] == "x\ty"
         assert document.root.text() == "1\t2\n3 ]]> ]] >"
+
+
+class TestDepthLimit:
+    """Nesting is bounded so untrusted input never reaches the
+    interpreter's recursion limit (a ~1,000-deep document used to)."""
+
+    def test_exactly_max_depth_parses(self):
+        document = parse(_nested(MAX_DEPTH))
+        element, depth = document.root, 1
+        while element.child_elements():
+            (element,) = element.child_elements()
+            depth += 1
+        assert depth == MAX_DEPTH
+        assert element.text() == "x"
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1_500, 100_000])
+    def test_deeper_nesting_raises_a_positioned_limit_error(self, depth):
+        with pytest.raises(XMLLimitError) as excinfo:
+            parse(_nested(depth))
+        # Positioned at the first start tag past the limit.
+        assert excinfo.value.line == 1
+        assert excinfo.value.column == 3 * MAX_DEPTH + 1
+        assert isinstance(excinfo.value, XMLSyntaxError)
+
+    @pytest.mark.parametrize("depth", [1_500, 100_000])
+    def test_batch_classifies_deep_nesting_as_parse(self, lexicon, depth):
+        from repro.runtime import BatchExecutor
+
+        (record,) = BatchExecutor(lexicon).run([("deep", _nested(depth))])
+        assert not record.ok
+        assert record.outcome.stage == "parse"
+        assert record.error.startswith("XMLLimitError")
+
+    def test_max_depth_document_disambiguates(self, lexicon):
+        from repro.runtime import BatchExecutor
+
+        xml = _nested(MAX_DEPTH, tag="movie", text="cast")
+        (record,) = BatchExecutor(lexicon).run([("deep", xml)])
+        assert record.ok, record.error
